@@ -10,8 +10,8 @@ Besides the pytest-benchmark cases, this file doubles as a script::
     PYTHONPATH=src python benchmarks/bench_kernels.py --json BENCH_kernels.json
 
 which times each vectorized non-sweep kernel (owner-bucketing pack,
-aggregate sync, merge assembly) against its retained scalar reference on
-the 56k-edge Barabasi-Albert reference graph and writes the
+aggregate sync, merge assembly) against the scalar reference kept in this
+file on the 56k-edge Barabasi-Albert reference graph and writes the
 before/after/speedup table as machine-readable JSON (see
 ``docs/PERFORMANCE.md``).  ``--check`` exits non-zero if any vectorized
 kernel is slower than its scalar reference (the CI ``bench-smoke`` gate);
@@ -30,11 +30,7 @@ from repro.bench import load_dataset
 from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
 from repro.core.coarsen import coarsen_graph
 from repro.core.community_table import OwnerTable
-from repro.core.merging import (
-    _aggregate_pairs,
-    _assemble_scalar,
-    _assemble_vectorized,
-)
+from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
 from repro.core.pack import pack_by_owner
 from repro.graph.csr import build_symmetric_csr
@@ -323,6 +319,31 @@ def _merge_workload(graph, size=SYNC_RANKS, rank=0):
     return rank, size, k, ncu[keep], ncv[keep], nw[keep]
 
 
+def _assemble_scalar(rank, size, k, ncu, ncv, nw):
+    """The seed's dict-based merge step 4 that ``merging._assemble``
+    replaces; same return tuple."""
+    owned = np.arange(rank, k, size, dtype=np.int64)
+    wdeg = np.zeros(owned.size)
+    owned_pos = {int(c): i for i, c in enumerate(owned)}
+    selfloop = np.zeros(owned.size)
+    for c, d, ww in zip(ncu.tolist(), ncv.tolist(), nw.tolist()):
+        i = owned_pos[c]
+        wdeg[i] += ww
+        if c == d:
+            selfloop[i] += ww / 2.0
+    ghosts = np.unique(ncv[(ncv % size) != rank])
+    global_ids = np.concatenate([owned, ghosts])
+    local_of = {g: i for i, g in enumerate(global_ids.tolist())}
+    stored_w = np.where(ncu == ncv, nw / 2.0, nw)
+    src_local = np.fromiter(
+        (local_of[c] for c in ncu.tolist()), dtype=np.int64, count=ncu.size
+    )
+    dst_local = np.fromiter(
+        (local_of[c] for c in ncv.tolist()), dtype=np.int64, count=ncv.size
+    )
+    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
+
+
 def test_kernel_pack_by_owner(benchmark, scalefree_graph):
     owner, arrays = _pack_workload(scalefree_graph)
     got = benchmark(lambda: _pack_vectorized(owner, arrays))
@@ -349,7 +370,7 @@ def test_kernel_aggregate_sync_scalar(benchmark, scalefree_graph):
 
 def test_kernel_merge_assembly_vectorized(benchmark, scalefree_graph):
     args = _merge_workload(scalefree_graph)
-    out = benchmark(lambda: _assemble_vectorized(*args))
+    out = benchmark(lambda: _assemble(*args))
     ref = _assemble_scalar(*args)
     assert all(np.array_equal(a, b) for a, b in zip(out, ref))
 
@@ -373,7 +394,7 @@ def _best_of(fn, repeats):
     return min(times)
 
 
-def run_kernel_suite(quick=False, pipeline=True):
+def run_kernel_suite(quick=False):
     """Time every vectorized kernel against its scalar reference; returns
     the BENCH_kernels.json document."""
     if quick:
@@ -408,7 +429,7 @@ def run_kernel_suite(quick=False, pipeline=True):
         ),
         "merge_assembly": (
             lambda: _assemble_scalar(*merge_args),
-            lambda: _assemble_vectorized(*merge_args),
+            lambda: _assemble(*merge_args),
         ),
     }
     for name, (scalar_fn, vector_fn) in cases.items():
@@ -420,27 +441,6 @@ def run_kernel_suite(quick=False, pipeline=True):
             "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
         }
 
-    if pipeline:
-        # end-to-end check: same pipeline, agg_mode scalar vs dense (the
-        # sweep is vectorized in both, so the delta is the non-sweep share)
-        def run(agg):
-            return distributed_louvain(
-                graph,
-                SYNC_RANKS,
-                DistributedConfig(
-                    d_high=64, sweep_mode="vectorized", agg_mode=agg
-                ),
-            )
-
-        rounds = 1 if quick else 2
-        scalar_s = _best_of(lambda: run("scalar"), rounds)
-        dense_s = _best_of(lambda: run("dense"), rounds)
-        report["pipeline"] = {
-            "config": "p=4, sweep_mode=vectorized, d_high=64",
-            "agg_scalar_s": scalar_s,
-            "agg_dense_s": dense_s,
-            "speedup": scalar_s / dense_s if dense_s > 0 else float("inf"),
-        }
     return report
 
 
@@ -455,17 +455,13 @@ def main(argv=None):
         help="smaller graph and fewer repeats (CI smoke)",
     )
     ap.add_argument(
-        "--no-pipeline", action="store_true",
-        help="skip the end-to-end agg_mode comparison",
-    )
-    ap.add_argument(
         "--check", action="store_true",
         help="exit 1 if any vectorized kernel is slower than its scalar "
         "reference",
     )
     args = ap.parse_args(argv)
 
-    report = run_kernel_suite(quick=args.quick, pipeline=not args.no_pipeline)
+    report = run_kernel_suite(quick=args.quick)
     with open(args.json, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -476,12 +472,6 @@ def main(argv=None):
         print(
             f"{name:{width}s}  {row['scalar_s'] * 1e3:8.2f}ms  "
             f"{row['vectorized_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
-        )
-    if "pipeline" in report:
-        row = report["pipeline"]
-        print(
-            f"pipeline (agg scalar -> dense): {row['agg_scalar_s']:.2f}s -> "
-            f"{row['agg_dense_s']:.2f}s  ({row['speedup']:.2f}x)"
         )
     print(f"wrote {args.json}")
 

@@ -10,15 +10,16 @@ protocol needs — merging contributions, diffing against a previous report,
 answering pulls, applying pushes — is one ``searchsorted``/``np.add.at``
 pass.
 
-Exactness contract: each kernel reproduces the scalar dict path *bitwise*.
+Exactness contract: each kernel reproduces the seed's dict loops *bitwise*.
 Accumulations run in the same order the dict loops used (``np.add.at``
 applies its updates sequentially in stream order, matching per-rank arrival
 order), first-touch of a new label starts from an exact ``0.0``, and
 :meth:`OwnerTable.partial_modularity` sums in dict *insertion* order via the
 ``seq`` column so the floating-point reduction order of the seed's
-``for lab, acc in own.items()`` loop is preserved.  The equivalence grid in
-``tests/core/test_agg_equivalence.py`` pins all of this against the
-retained scalar reference path (``agg_mode="scalar"``).
+``for lab, acc in own.items()`` loop is preserved.
+``tests/core/test_agg_equivalence.py`` pins the owner table against a
+literal dict transcription and the whole pipeline against a golden record
+(``tests/core/agg_pin.json``).
 """
 
 from __future__ import annotations
@@ -151,11 +152,11 @@ class CommunityTable:
     """Subscriber-side cache: ``sigma_tot`` / community size / local-member
     count per referenced community, as dense label-aligned columns.
 
-    Dense replacement for ``LocalClustering.sigma_tot`` / ``csize`` /
-    ``local_members`` in vectorized-sweep mode.  Lookup defaults mirror the
-    dict ``get`` defaults of the scalar sweep: missing ``sigma_tot`` is
-    0.0 (with a separate "known" mask for the stay-gain special case),
-    missing size is 1, missing local count is 0.
+    The only subscriber-side cache of ``LocalClustering``, for both sweep
+    modes.  Lookup defaults mirror the dict ``get`` defaults of the scalar
+    sweep: missing ``sigma_tot`` is 0.0 (with a separate "known" mask for
+    the stay-gain special case), missing size is 1, missing local count
+    is 0.
     """
 
     __slots__ = ("labels", "sigma_tot", "size", "local")
@@ -262,12 +263,16 @@ class CommunityTable:
         if d_local is not None:
             np.add.at(self.local, pos, d_local)
 
-    def as_dicts(self) -> tuple[dict[int, float], dict[int, int]]:
-        """``(sigma_tot, csize)`` dict mirrors (scalar-sweep compatibility
-        and tests); one C-level pass, values identical to the columns."""
+    def as_dicts(
+        self,
+    ) -> tuple[dict[int, float], dict[int, int], dict[int, int]]:
+        """``(sigma_tot, size, local)`` dict mirrors for the Gauss-Seidel
+        sweep's per-move reads; values identical to the columns."""
+        labels = self.labels.tolist()
         return (
-            dict(zip(self.labels.tolist(), self.sigma_tot.tolist())),
-            dict(zip(self.labels.tolist(), self.size.tolist())),
+            dict(zip(labels, self.sigma_tot.tolist())),
+            dict(zip(labels, self.size.tolist())),
+            dict(zip(labels, self.local.tolist())),
         )
 
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.core.heuristics import get_heuristic
-from repro.core.local_clustering import LocalClustering
+from repro.core.local_clustering import LevelOutcome, LocalClustering
 from repro.core.merging import merge_level
 from repro.graph.csr import CSRGraph
 from repro.partition.delegate import delegate_partition
 from repro.partition.distgraph import Partition
 from repro.partition.oned import oned_partition
-from repro.runtime.engine import SPMDError, run_spmd
+from repro.runtime.engine import BACKENDS, SPMDError, run_spmd
 from repro.runtime.stats import RunStats
 
 __all__ = [
@@ -61,7 +61,6 @@ class DistributedConfig:
     sync_mode: str = "full"  # community-state sync: "full" | "delta"
     ghost_mode: str = "full"  # ghost label exchange: "full" | "delta"
     sweep_mode: str = "gauss-seidel"  # local sweep: "gauss-seidel" | "vectorized"
-    agg_mode: str = "dense"  # aggregate-sync/merge kernels: "dense" | "scalar"
     refine: bool = False  # split internally disconnected communities
     min_q_gain: float = 1e-9  # outer-loop stopping criterion
     max_inner: int = 100  # inner iterations per level (safety valve)
@@ -78,6 +77,28 @@ class DistributedConfig:
     # execution backend: "thread" | "process" | "auto" (defer to the
     # REPRO_DEFAULT_BACKEND environment variable; see repro.runtime)
     backend: str = "auto"
+
+    def __post_init__(self) -> None:
+        # reject typos here, before partitioning and rank start-up: inside
+        # the ranks they would surface as SPMDError, which run_with_recovery
+        # retries as if it were a crash
+        try:
+            get_heuristic(self.heuristic)
+        except ValueError as exc:
+            raise ValueError(f"DistributedConfig.heuristic: {exc}") from None
+        for name, allowed in (
+            ("partitioning", ("delegate", "1d")),
+            ("sync_mode", ("full", "delta")),
+            ("ghost_mode", ("full", "delta")),
+            ("sweep_mode", ("gauss-seidel", "vectorized")),
+            ("backend", ("auto", *BACKENDS)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"DistributedConfig.{name} must be one of {allowed}, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass
@@ -198,10 +219,25 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
                         )
         comm.fault_event(f"level:{base_levels + completed - 1}")
 
-    def run_level(level: int, clustering: LocalClustering, with_delegates: bool):
-        """One clustering level wrapped in a tracer span carrying its full
-        convergence telemetry (modularity trajectory, moves per sweep,
-        ghost-label churn, delegate broadcast volume)."""
+    def run_level(level: int, lg) -> LevelOutcome:
+        """One clustering level (stage 2 for level 0, stage 4 after),
+        wrapped in a tracer span carrying its full convergence telemetry
+        (modularity trajectory, moves per sweep, ghost-label churn, delegate
+        broadcast volume) and recorded as a :class:`LevelReport`."""
+        with_delegates = lg.n_hubs > 0
+        clustering = LocalClustering(
+            comm,
+            lg,
+            heuristic,
+            theta=cfg.theta,
+            max_inner=cfg.max_inner,
+            phase_prefix="s1:" if level == 0 else "s2:",
+            stall_patience=cfg.stall_patience,
+            resolution=cfg.resolution,
+            sync_mode=cfg.sync_mode,
+            ghost_mode=cfg.ghost_mode,
+            sweep_mode=cfg.sweep_mode,
+        )
         with comm.trace_span(f"level {level}", cat="level") as span:
             outcome = clustering.run()
             if comm.tracing:
@@ -216,70 +252,10 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
                     converged=outcome.converged,
                     q_final=outcome.q_final,
                 )
-        return outcome
-
-    # ---- stage 2: clustering with delegates (one level) ----------------
-    clustering = LocalClustering(
-        comm,
-        lg,
-        heuristic,
-        theta=cfg.theta,
-        max_inner=cfg.max_inner,
-        phase_prefix="s1:",
-        stall_patience=cfg.stall_patience,
-        resolution=cfg.resolution,
-        sync_mode=cfg.sync_mode,
-        ghost_mode=cfg.ghost_mode,
-        sweep_mode=cfg.sweep_mode,
-        agg_mode=cfg.agg_mode,
-    )
-    outcome = run_level(0, clustering, lg.n_hubs > 0)
-    reports.append(
-        LevelReport(
-            level=0,
-            with_delegates=lg.n_hubs > 0,
-            q_history=outcome.q_history,
-            moves_history=outcome.moves_history,
-            n_iterations=outcome.n_iterations,
-            converged=outcome.converged,
-            q_final=outcome.q_final,
-            ghost_churn=outcome.ghost_churn,
-            delegate_bytes=outcome.delegate_bytes,
-        )
-    )
-    q_prev = outcome.q_final
-
-    # ---- stage 3: merge + 1D re-partition ------------------------------
-    merge_impl = "scalar" if cfg.agg_mode == "scalar" else "vectorized"
-    with comm.phase("s1:merge"):
-        lg, fine_ids, coarse_ids = merge_level(
-            comm, lg, outcome.comm_of, impl=merge_impl
-        )
-    level_maps.append((fine_ids, coarse_ids))
-    level_boundary(fine_ids, coarse_ids, q_prev)
-
-    # ---- stage 4: clustering without delegates -------------------------
-    for level in range(1, cfg.max_levels):
-        clustering = LocalClustering(
-            comm,
-            lg,
-            heuristic,
-            theta=cfg.theta,
-            max_inner=cfg.max_inner,
-            phase_prefix="s2:",
-            stall_patience=cfg.stall_patience,
-            resolution=cfg.resolution,
-            sync_mode=cfg.sync_mode,
-            ghost_mode=cfg.ghost_mode,
-            sweep_mode=cfg.sweep_mode,
-            agg_mode=cfg.agg_mode,
-        )
-        outcome = run_level(level, clustering, False)
-        q = outcome.q_final
         reports.append(
             LevelReport(
                 level=level,
-                with_delegates=False,
+                with_delegates=with_delegates,
                 q_history=outcome.q_history,
                 moves_history=outcome.moves_history,
                 n_iterations=outcome.n_iterations,
@@ -289,6 +265,22 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
                 delegate_bytes=outcome.delegate_bytes,
             )
         )
+        return outcome
+
+    # ---- stage 2: clustering with delegates (one level) ----------------
+    outcome = run_level(0, lg)
+    q_prev = outcome.q_final
+
+    # ---- stage 3: merge + 1D re-partition ------------------------------
+    with comm.phase("s1:merge"):
+        lg, fine_ids, coarse_ids = merge_level(comm, lg, outcome.comm_of)
+    level_maps.append((fine_ids, coarse_ids))
+    level_boundary(fine_ids, coarse_ids, q_prev)
+
+    # ---- stage 4: clustering without delegates -------------------------
+    for level in range(1, cfg.max_levels):
+        outcome = run_level(level, lg)
+        q = outcome.q_final
         # Alg. 1 line 16: stop on no modularity improvement.  The check
         # runs BEFORE merging so a non-improving (or, under an unsafe
         # heuristic, degrading) level is discarded and the final
@@ -298,9 +290,7 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
             break
         q_prev = q
         with comm.phase("s2:merge"):
-            lg, fine_ids, coarse_ids = merge_level(
-                comm, lg, outcome.comm_of, impl=merge_impl
-            )
+            lg, fine_ids, coarse_ids = merge_level(comm, lg, outcome.comm_of)
         level_maps.append((fine_ids, coarse_ids))
         level_boundary(fine_ids, coarse_ids, q)
 

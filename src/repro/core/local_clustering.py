@@ -84,7 +84,6 @@ class LocalClustering:
         sync_mode: str = "full",
         ghost_mode: str = "full",
         sweep_mode: str = "gauss-seidel",
-        agg_mode: str = "dense",
     ) -> None:
         if sync_mode not in ("full", "delta"):
             raise ValueError("sync_mode must be 'full' or 'delta'")
@@ -92,8 +91,6 @@ class LocalClustering:
             raise ValueError("ghost_mode must be 'full' or 'delta'")
         if sweep_mode not in ("gauss-seidel", "vectorized"):
             raise ValueError("sweep_mode must be 'gauss-seidel' or 'vectorized'")
-        if agg_mode not in ("dense", "scalar"):
-            raise ValueError("agg_mode must be 'dense' or 'scalar'")
         # the bulk kernel encodes the selection rule of each registered
         # heuristic; custom heuristics fall back to the scalar loop
         if sweep_mode == "vectorized" and heuristic.name not in VECTOR_HEURISTICS:
@@ -109,15 +106,9 @@ class LocalClustering:
         self.sync_mode = sync_mode
         self.ghost_mode = ghost_mode
         self.sweep_mode = sweep_mode
-        self.agg_mode = agg_mode
-        # delta-sync state: this rank's last reported contributions and the
-        # persistent owner-side aggregates it maintains across iterations
-        self._prev_contrib: dict[int, tuple[float, float, float]] | None = None
-        self._owner_agg: dict[int, list[float]] = {}
-        self._subscribers: dict[int, set[int]] = {}
-        # dense-agg counterparts of the three dicts above: the previous
-        # contribution report as parallel arrays, the owner-side label table,
-        # and the subscriber map inverted to rank -> sorted label array
+        # delta-sync state: this rank's previous contribution report as
+        # parallel arrays, the persistent owner-side label table, and the
+        # subscriber map as rank -> sorted label array
         self._prev_report: tuple[np.ndarray, ...] | None = None
         self._owner_table = OwnerTable()
         self._sub_to: dict[int, np.ndarray] = {}
@@ -131,11 +122,9 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
-        # subscriber-side community caches.  With the vectorized sweep under
-        # dense aggregation the canonical store is the label-table ``ctab``
-        # (consumed directly by the bulk kernel); otherwise the dicts below
-        # are canonical and the scalar sweep / per-move updates use them.
-        self._dense_tables = agg_mode == "dense" and self.sweep_mode == "vectorized"
+        # the subscriber-side community cache, for both sweep modes.  The
+        # Gauss-Seidel pass reads and updates per-pass dict mirrors of it
+        # (see find_best_pass); nothing else uses the dicts.
         self.ctab = CommunityTable()
         self.sigma_tot: dict[int, float] = {}
         self.csize: dict[int, int] = {}
@@ -225,18 +214,10 @@ class LocalClustering:
         delta trades a little bookkeeping for drastically less traffic in
         the late, low-movement iterations (see ``bench_ablation_sync.py``).
 
-        ``agg_mode`` selects the implementation: ``dense`` runs the whole
-        protocol on numpy label tables (:mod:`repro.core.community_table`),
-        ``scalar`` is the dict-accumulator reference.  Both ship identical
-        payload multisets (byte-identical traffic) and the equivalence grid
-        in ``tests/core/test_agg_equivalence.py`` pins labels and Q.
+        The whole protocol runs on numpy label tables
+        (:mod:`repro.core.community_table`): owners accumulate into an
+        :class:`OwnerTable`, subscribers cache into :attr:`ctab`.
         """
-        if self.agg_mode == "scalar":
-            return self._sync_aggregates_scalar()
-        return self._sync_aggregates_dense()
-
-    def _sync_aggregates_dense(self) -> float:
-        """Dense-table implementation of :meth:`sync_aggregates`."""
         comm = self.comm
         labels, tot, cnt, s_in = self._contributions()
 
@@ -253,8 +234,8 @@ class LocalClustering:
         received = comm.alltoall(payloads)
 
         # accumulate contributions in rank-arrival order: np.add.at applies
-        # updates sequentially, so every per-community sum is bit-identical
-        # to the scalar dict loop
+        # updates sequentially, so every per-community sum has one fixed
+        # floating-point order
         own = self._owner_table if self.sync_mode == "delta" else OwnerTable()
         changed = own.merge_stream(
             np.concatenate([p[0] for p in received]),
@@ -263,94 +244,15 @@ class LocalClustering:
             np.concatenate([p[3] for p in received]),
         )
         if self.sync_mode == "delta":
+            # communities whose membership reached zero are dropped (a dead
+            # label cannot be referenced again: moves only target
+            # communities with live members)
             dead = own.drop_dead()
             if dead.size and self._sub_to:
                 for r in list(self._sub_to):
                     self._sub_to[r] = np.setdiff1d(
                         self._sub_to[r], dead, assume_unique=True
                     )
-            self._delta_pull_dense(own, changed)
-        else:
-            self._full_pull_dense(own)
-
-        # local membership census over OWNED vertices only (hubs must not
-        # mark communities as "local" — see the scalar path)
-        labs, cnts = np.unique(
-            self.comm_of[: self.lg.n_owned], return_counts=True
-        )
-        if self._dense_tables:
-            self.ctab.set_local_census(labs, cnts.astype(np.int64))
-        else:
-            self.local_members = dict(zip(labs.tolist(), cnts.tolist()))
-
-        q_part = own.partial_modularity(self.two_m, self.resolution)
-        return float(comm.allreduce(q_part))
-
-    def _sync_aggregates_scalar(self) -> float:
-        """Dict-accumulator reference implementation (the seed path)."""
-        comm = self.comm
-        labels, tot, cnt, s_in = self._contributions()
-
-        if self.sync_mode == "delta" and self._prev_contrib is not None:
-            current = {
-                int(lab): (t, c, i)
-                for lab, t, c, i in zip(
-                    labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-                )
-            }
-            d_lab, d_tot, d_cnt, d_in = [], [], [], []
-            for lab in current.keys() | self._prev_contrib.keys():
-                ct, cc, ci = current.get(lab, (0.0, 0.0, 0.0))
-                pt, pc, pi = self._prev_contrib.get(lab, (0.0, 0.0, 0.0))
-                if ct != pt or cc != pc or ci != pi:
-                    d_lab.append(lab)
-                    d_tot.append(ct - pt)
-                    d_cnt.append(cc - pc)
-                    d_in.append(ci - pi)
-            self._prev_contrib = current
-            labels = np.asarray(d_lab, dtype=np.int64)
-            tot = np.asarray(d_tot)
-            cnt = np.asarray(d_cnt)
-            s_in = np.asarray(d_in)
-        elif self.sync_mode == "delta":
-            self._prev_contrib = {
-                int(lab): (t, c, i)
-                for lab, t, c, i in zip(
-                    labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-                )
-            }
-
-        owner = self._owner(labels) if labels.size else labels
-        payloads = []
-        for r in range(comm.size):
-            m = owner == r
-            payloads.append((labels[m], tot[m], cnt[m], s_in[m]))
-        received = comm.alltoall(payloads)
-
-        own = self._owner_agg if self.sync_mode == "delta" else {}
-        changed: set[int] = set()
-        for lab_a, tot_a, cnt_a, in_a in received:
-            for lab, t, c, i in zip(
-                lab_a.tolist(), tot_a.tolist(), cnt_a.tolist(), in_a.tolist()
-            ):
-                acc = own.get(lab)
-                changed.add(lab)
-                if acc is None:
-                    own[lab] = [t, c, i]
-                else:
-                    acc[0] += t
-                    acc[1] += c
-                    acc[2] += i
-        if self.sync_mode == "delta":
-            # drop communities whose membership reached zero (a dead label
-            # cannot be referenced again: moves only target communities with
-            # live members)
-            for lab in [k for k, v in own.items() if v[1] <= 0.5]:
-                del own[lab]
-                self._subscribers.pop(lab, None)
-            self._owner_agg = own
-
-        if self.sync_mode == "delta":
             self._delta_pull(own, changed)
         else:
             self._full_pull(own)
@@ -359,116 +261,20 @@ class LocalClustering:
         # being resident everywhere does not make its community's aggregates
         # any fresher here, so hubs must not mark communities as "local"
         # for the heuristics
-        self.local_members = {}
-        for lab in self.comm_of[: self.lg.n_owned].tolist():
-            self.local_members[lab] = self.local_members.get(lab, 0) + 1
+        labs, cnts = np.unique(
+            self.comm_of[: self.lg.n_owned], return_counts=True
+        )
+        self.ctab.set_local_census(labs, cnts.astype(np.int64))
 
-        # partial modularity over owned communities (each exactly once)
-        q_part = 0.0
-        for lab, (t, _c, i) in own.items():
-            q_part += i / self.two_m - self.resolution * (t / self.two_m) ** 2
+        q_part = own.partial_modularity(self.two_m, self.resolution)
         return float(comm.allreduce(q_part))
 
     # ------------------------------------------------------------------
     # Pull protocols
     # ------------------------------------------------------------------
-    def _full_pull(self, own: dict[int, list[float]]) -> None:
-        """Request (sigma_tot, size) for every referenced community and
-        rebuild the subscriber caches from scratch."""
-        comm = self.comm
-        needed = np.unique(self.comm_of)
-        need_owner = self._owner(needed)
-        requests = [needed[need_owner == r] for r in range(comm.size)]
-        incoming = comm.alltoall(requests)
-        replies = []
-        for req in incoming:
-            vals = np.empty((req.size, 2))
-            for i, lab in enumerate(req.tolist()):
-                acc = own.get(lab)
-                if acc is None:
-                    raise RuntimeError(
-                        f"rank {comm.rank}: no aggregate for community {lab}"
-                    )
-                vals[i, 0] = acc[0]
-                vals[i, 1] = acc[1]
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-
-        self.sigma_tot = {}
-        self.csize = {}
-        for req, vals in answered:
-            for lab, (t, c) in zip(req.tolist(), vals.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
-
-    def _delta_pull(self, own: dict[int, list[float]], changed: set[int]) -> None:
-        """Push/subscribe protocol: owners push updates for *changed*
-        communities to registered subscribers; ranks request only
-        communities missing from their cache (first reference), which also
-        registers the subscription."""
-        comm = self.comm
-
-        # 1. push changed values to subscribers
-        push: list[tuple[list[int], list[float], list[float]]] = [
-            ([], [], []) for _ in range(comm.size)
-        ]
-        for lab in changed:
-            acc = own.get(lab)
-            if acc is None:
-                continue  # died this iteration; no one may reference it
-            for r in self._subscribers.get(lab, ()):  # registered interest
-                push[r][0].append(lab)
-                push[r][1].append(acc[0])
-                push[r][2].append(acc[1])
-        pushed = comm.alltoall(
-            [
-                (
-                    np.asarray(p[0], dtype=np.int64),
-                    np.asarray(p[1]),
-                    np.asarray(p[2]),
-                )
-                for p in push
-            ]
-        )
-        for lab_a, tot_a, cnt_a in pushed:
-            for lab, t, c in zip(lab_a.tolist(), tot_a.tolist(), cnt_a.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
-
-        # 2. request communities not yet cached (and subscribe to them)
-        needed = np.unique(self.comm_of)
-        missing = np.asarray(
-            [lab for lab in needed.tolist() if lab not in self.sigma_tot],
-            dtype=np.int64,
-        )
-        need_owner = self._owner(missing) if missing.size else missing
-        requests = [missing[need_owner == r] for r in range(comm.size)]
-        incoming = comm.alltoall(requests)
-        replies = []
-        for src_rank, req in enumerate(incoming):
-            vals = np.empty((req.size, 2))
-            for i, lab in enumerate(req.tolist()):
-                acc = own.get(lab)
-                if acc is None:
-                    raise RuntimeError(
-                        f"rank {comm.rank}: no aggregate for community {lab}"
-                    )
-                vals[i, 0] = acc[0]
-                vals[i, 1] = acc[1]
-                self._subscribers.setdefault(lab, set()).add(src_rank)
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-        for req, vals in answered:
-            for lab, (t, c) in zip(req.tolist(), vals.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
-
-    # ------------------------------------------------------------------
-    # Pull protocols, dense-table implementation
-    # ------------------------------------------------------------------
     def _answer(self, own: OwnerTable, req: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owner-side reply values, with the scalar path's hard failure on a
-        community this rank holds no aggregate for."""
+        """Owner-side reply values; a community this rank holds no
+        aggregate for is a protocol violation and fails hard."""
         try:
             return own.lookup(req)
         except KeyError as exc:
@@ -476,23 +282,9 @@ class LocalClustering:
                 f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
             ) from None
 
-    def _cache_update(
-        self, labels: np.ndarray, sigma: np.ndarray, size: np.ndarray
-    ) -> None:
-        """Overlay received (sigma_tot, size) pairs onto the subscriber
-        cache — the label table or the dict mirrors, whichever is canonical
-        for the active sweep mode."""
-        if labels.size == 0:
-            return
-        if self._dense_tables:
-            self.ctab.assign(labels, sigma, size)
-        else:
-            self.sigma_tot.update(zip(labels.tolist(), sigma.tolist()))
-            self.csize.update(zip(labels.tolist(), size.tolist()))
-
-    def _full_pull_dense(self, own: OwnerTable) -> None:
-        """Vectorized :meth:`_full_pull`: same requests, same replies, the
-        per-label Python loops replaced by one table lookup per exchange."""
+    def _full_pull(self, own: OwnerTable) -> None:
+        """Request (sigma_tot, size) for every referenced community and
+        rebuild the subscriber cache from scratch."""
         comm = self.comm
         needed = np.unique(self.comm_of)
         requests = pack_by_owner(
@@ -507,22 +299,18 @@ class LocalClustering:
         answered = comm.alltoall(replies)
         lab = np.concatenate([a[0] for a in answered])
         vals = np.concatenate([a[1] for a in answered])
-        sz = np.rint(vals[:, 1]).astype(np.int64)
-        if self._dense_tables:
-            self.ctab.rebuild(lab, vals[:, 0].copy(), sz)
-        else:
-            self.sigma_tot = dict(zip(lab.tolist(), vals[:, 0].tolist()))
-            self.csize = dict(zip(lab.tolist(), sz.tolist()))
+        self.ctab.rebuild(lab, vals[:, 0].copy(), np.rint(vals[:, 1]).astype(np.int64))
 
-    def _delta_pull_dense(self, own: OwnerTable, changed: np.ndarray) -> None:
-        """Vectorized :meth:`_delta_pull`: pushes are built per peer by
-        intersecting its subscription array with the changed set (sorted
-        label order — same label multiset and bytes as the scalar path),
-        and the first-reference requests come from one membership test."""
+    def _delta_pull(self, own: OwnerTable, changed: np.ndarray) -> None:
+        """Push/subscribe protocol: owners push updates for *changed*
+        communities to registered subscribers (each peer's subscription
+        array intersected with the changed set, in sorted label order);
+        ranks request only communities missing from their cache (first
+        reference), which also registers the subscription."""
         comm = self.comm
 
         # 1. push changed values to subscribers (dead labels were dropped
-        # from the table, so they are silently skipped here, as in scalar)
+        # from the table, so they are silently skipped here)
         alive = changed[own.contains(changed)] if changed.size else changed
         push = []
         for r in range(comm.size):
@@ -534,20 +322,15 @@ class LocalClustering:
             t, c = own.lookup(labs)
             push.append((labs, t, c))
         pushed = comm.alltoall(push)
-        p_lab = np.concatenate([p[0] for p in pushed])
-        p_tot = np.concatenate([p[1] for p in pushed])
-        p_cnt = np.concatenate([p[2] for p in pushed])
-        self._cache_update(p_lab, p_tot, np.rint(p_cnt).astype(np.int64))
+        self.ctab.assign(
+            np.concatenate([p[0] for p in pushed]),
+            np.concatenate([p[1] for p in pushed]),
+            np.rint(np.concatenate([p[2] for p in pushed])).astype(np.int64),
+        )
 
         # 2. request communities not yet cached (and subscribe to them)
         needed = np.unique(self.comm_of)
-        if self._dense_tables:
-            missing = needed[~self.ctab.contains(needed)]
-        else:
-            cached = np.fromiter(
-                self.sigma_tot.keys(), dtype=np.int64, count=len(self.sigma_tot)
-            )
-            missing = needed[~np.isin(needed, cached)]
+        missing = needed[~self.ctab.contains(needed)]
         requests = pack_by_owner(
             self._owner(missing) if missing.size else missing, comm.size, missing
         )
@@ -563,10 +346,11 @@ class LocalClustering:
                 )
             replies.append((req, vals))
         answered = comm.alltoall(replies)
-        a_lab = np.concatenate([a[0] for a in answered])
         a_vals = np.concatenate([a[1] for a in answered])
-        self._cache_update(
-            a_lab, a_vals[:, 0].copy(), np.rint(a_vals[:, 1]).astype(np.int64)
+        self.ctab.assign(
+            np.concatenate([a[0] for a in answered]),
+            a_vals[:, 0].copy(),
+            np.rint(a_vals[:, 1]).astype(np.int64),
         )
 
     # ------------------------------------------------------------------
@@ -578,8 +362,8 @@ class LocalClustering:
         """Heuristic-gated best move for row vertex ``u``.
 
         Returns ``(chosen_label, chosen_gain, stay_gain)`` where gains are in
-        the scaled units of Eq. 4 (relative ordering only).  Caches are NOT
-        mutated.
+        the scaled units of Eq. 4 (relative ordering only).  Reads the
+        per-pass dict mirrors of :attr:`ctab`; caches are NOT mutated.
         """
         s = self._indptr_list[u]
         e = self._indptr_list[u + 1]
@@ -628,12 +412,12 @@ class LocalClustering:
         raise AssertionError("heuristic chose a non-candidate community")
 
     def _apply_move(self, u: int, new_label: int) -> None:
-        """Move row vertex ``u``, optimistically updating local caches."""
-        cu = int(self.comm_of[u])
-        wu = float(self.lg.row_weighted_degree[u])
-        self.comm_of[u] = new_label
-        if self._cof_list is not None:
-            self._cof_list[u] = new_label
+        """Move row vertex ``u`` within a Gauss-Seidel pass: updates the
+        label list and the dict mirrors only.  ``comm_of`` and the table
+        catch up when the pass replays its moves (:meth:`_apply_moves_bulk`)."""
+        cu = self._cof_list[u]
+        wu = self._wdeg_list[u]
+        self._cof_list[u] = new_label
         self.sigma_tot[cu] = self.sigma_tot.get(cu, wu) - wu
         self.csize[cu] = self.csize.get(cu, 1) - 1
         self.sigma_tot[new_label] = self.sigma_tot.get(new_label, 0.0) + wu
@@ -645,12 +429,13 @@ class LocalClustering:
             )
 
     def _apply_moves_bulk(self, rows: np.ndarray, targets: np.ndarray) -> None:
-        """Apply a batch of moves against the dense label table.
+        """Apply a batch of moves to ``comm_of`` and the label table.
 
         The scatter stream interleaves each move's source and target label
         (``old0, new0, old1, new1, ...``), so ``np.add.at`` replays the
         exact per-move update order of sequential :meth:`_apply_move`
-        calls — the cache values stay bit-identical to the dict path.
+        calls.  Given distinct rows whose current labels are all cached,
+        the table ends bit-identical to the dict mirrors those calls leave.
         """
         if rows.size == 0:
             return
@@ -686,21 +471,27 @@ class LocalClustering:
         if self.sweep_mode == "vectorized":
             return self._find_best_pass_vectorized()
         lg = self.lg
-        moved = 0
         hub_gain = np.zeros(lg.n_hubs)
         hub_target = (
             self.comm_of[lg.n_owned : lg.n_rows].astype(np.float64)
             if lg.n_hubs
             else _EMPTY_F64
         )
+        # per-move reads go through dict mirrors of the table, taken once
+        # per pass; every current label is cached after sync_aggregates, so
+        # replaying the recorded moves onto the table reproduces the mirrors
+        self.sigma_tot, self.csize, self.local_members = self.ctab.as_dicts()
         # refresh the list snapshot: ghost swaps / hub consensus / restores
         # mutate the numpy array between passes
         self._cof_list = self.comm_of.tolist()
+        rows: list[int] = []
+        targets: list[int] = []
         for u in range(lg.n_owned):
             chosen, _g, _s = self._evaluate_vertex(u)
             if chosen != self._cof_list[u]:
                 self._apply_move(u, chosen)
-                moved += 1
+                rows.append(u)
+                targets.append(chosen)
         for j in range(lg.n_hubs):
             u = lg.n_owned + j
             if self._indptr_list[u] == self._indptr_list[u + 1]:
@@ -709,7 +500,10 @@ class LocalClustering:
             if chosen != self._cof_list[u]:
                 hub_gain[j] = gain - stay
                 hub_target[j] = float(chosen)
-        return moved, hub_gain, hub_target
+        self._apply_moves_bulk(
+            np.asarray(rows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+        )
+        return len(rows), hub_gain, hub_target
 
     def _find_best_pass_vectorized(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Bulk Jacobi sweep via :mod:`repro.core.sweep_kernel`."""
@@ -724,10 +518,7 @@ class LocalClustering:
             comm_of=self.comm_of,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            sigma_tot=self.sigma_tot,
-            csize=self.csize,
-            local_members=self.local_members,
-            table=self.ctab if self._dense_tables else None,
+            table=self.ctab,
             two_m=self.two_m,
             resolution=self.resolution,
             theta=self.theta,
@@ -748,44 +539,23 @@ class LocalClustering:
         #   on the next, unrestricted iteration.  A two-community swap
         #   cycle then executes only its down-label half, after which the
         #   re-evaluated state has nothing to swap back.
+        #
+        # Both gates read the frozen pre-pass sizes, so they vectorize.
         down_only = self._vec_iter % 2 == 0
         self._vec_iter += 1
         movers = np.flatnonzero(chosen[: lg.n_owned] != cu[: lg.n_owned])
-        if self._dense_tables:
-            # gate decisions read the frozen pre-pass sizes (exactly like
-            # the dict branch below, which also defers all cache updates
-            # until after the decision loop), so they vectorize directly
-            m_old = cu[movers]
-            m_tgt = chosen[movers]
-            labs = np.unique(np.concatenate([m_old, m_tgt]))
-            _st, _known, sz_tab, _loc = self.ctab.lookup_eval(labs)
-            sz_old = sz_tab[np.searchsorted(labs, m_old)]
-            sz_tgt = sz_tab[np.searchsorted(labs, m_tgt)]
-            gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
-            defer = down_only & (m_tgt > m_old) & ~gate
-            deferred = int(np.count_nonzero(defer))
-            take = ~gate & ~defer
-            self._apply_moves_bulk(movers[take], m_tgt[take])
-            n_applied = int(np.count_nonzero(take))
-        else:
-            applied: list[tuple[int, int]] = []
-            deferred = 0
-            for u in movers.tolist():
-                c_old = int(cu[u])
-                tgt = int(chosen[u])
-                if (
-                    self.csize.get(c_old, 1) == 1
-                    and self.csize.get(tgt, 1) == 1
-                    and tgt > c_old
-                ):
-                    continue
-                if down_only and tgt > c_old:
-                    deferred += 1
-                    continue
-                applied.append((u, tgt))
-            for u, tgt in applied:
-                self._apply_move(u, tgt)
-            n_applied = len(applied)
+        m_old = cu[movers]
+        m_tgt = chosen[movers]
+        labs = np.unique(np.concatenate([m_old, m_tgt]))
+        _st, _known, sz_tab, _loc = self.ctab.lookup_eval(labs)
+        sz_old = sz_tab[np.searchsorted(labs, m_old)]
+        sz_tgt = sz_tab[np.searchsorted(labs, m_tgt)]
+        gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
+        defer = down_only & (m_tgt > m_old) & ~gate
+        deferred = int(np.count_nonzero(defer))
+        take = ~gate & ~defer
+        self._apply_moves_bulk(movers[take], m_tgt[take])
+        n_applied = int(np.count_nonzero(take))
 
         hub_gain = np.zeros(lg.n_hubs)
         if lg.n_hubs:
@@ -824,28 +594,12 @@ class LocalClustering:
         win_gain = winner[0]
         win_target = winner[1].astype(np.int64)
 
-        if self._dense_tables:
-            hub_cu = self.comm_of[lg.n_owned : lg.n_rows]
-            apply = (win_gain > self.theta) & (win_target != hub_cu)
-            rows = lg.n_owned + np.flatnonzero(apply)
-            # cache updates are once-per-rank optimistic, exactly like the
-            # per-hub loop below; everything is rebuilt in sync_aggregates
-            self._apply_moves_bulk(rows, win_target[apply])
-            return int(np.count_nonzero(apply & self._hub_designated))
-
-        moves_counted = 0
-        for j in range(lg.n_hubs):
-            u = lg.n_owned + j
-            cu = int(self.comm_of[u])
-            tgt = int(win_target[j])
-            if win_gain[j] > self.theta and tgt != cu:
-                self._apply_move(u, tgt)
-                # _apply_move adjusts local_members correctly (hub is a row),
-                # but csize/sigma_tot were adjusted once per rank; that is
-                # fine — they are fully rebuilt in sync_aggregates
-                if self._hub_designated[j]:
-                    moves_counted += 1
-        return moves_counted
+        hub_cu = self.comm_of[lg.n_owned : lg.n_rows]
+        apply = (win_gain > self.theta) & (win_target != hub_cu)
+        # every rank applies the move to its own cache, so csize/sigma_tot
+        # shift once per rank; that is fine — sync_aggregates rebuilds them
+        self._apply_moves_bulk(lg.n_owned + np.flatnonzero(apply), win_target[apply])
+        return int(np.count_nonzero(apply & self._hub_designated))
 
     # ------------------------------------------------------------------
     # Phase 3: ghost swap

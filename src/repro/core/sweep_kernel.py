@@ -30,15 +30,17 @@ singleton may merge into another singleton only toward a smaller label) —
 the same rule the shared-memory baseline uses, and a no-op under
 Gauss–Seidel ordering.
 
-:func:`bulk_best_moves` serves the distributed sweep (dict-backed, possibly
-stale aggregates); :func:`jacobi_minlabel_sweep` is the dense variant used
-by the shared-memory baseline, where exact aggregates come from
-``np.bincount``.
+:func:`bulk_best_moves` serves the distributed sweep (a
+:class:`~repro.core.community_table.CommunityTable` of possibly stale
+aggregates); :func:`jacobi_minlabel_sweep` is the dense variant used by the
+shared-memory baseline, where exact aggregates come from ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.community_table import CommunityTable
 
 __all__ = [
     "VECTOR_HEURISTICS",
@@ -102,10 +104,7 @@ def bulk_best_moves(
     comm_of: np.ndarray,
     row_wdeg: np.ndarray,
     n_rows: int,
-    sigma_tot: dict[int, float] | None = None,
-    csize: dict[int, int] | None = None,
-    local_members: dict[int, int] | None = None,
-    table=None,
+    table: CommunityTable,
     two_m: float,
     resolution: float,
     theta: float,
@@ -115,8 +114,8 @@ def bulk_best_moves(
 
     Evaluates the identical quantities as
     ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the cached
-    (possibly stale) ``sigma_tot`` / ``csize`` / ``local_members`` dicts —
-    against one frozen snapshot of ``comm_of``.
+    (possibly stale) ``sigma_tot`` / size / local-member columns of
+    ``table`` — against one frozen snapshot of ``comm_of``.
 
     Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
     ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
@@ -132,27 +131,10 @@ def bulk_best_moves(
         entry_rows, indices, weights, comm_of
     )
 
-    # one cache lookup per *unique* referenced label, then pure array math:
-    # a dense CommunityTable answers all labels with one searchsorted pass,
-    # dict-backed caches fall back to per-label gets
+    # one table lookup (a single searchsorted pass) per *unique* referenced
+    # label, then pure array math
     labels_all = np.unique(np.concatenate([pc, cu]))
-    if table is not None:
-        st, st_known, sz, loc = table.lookup_eval(labels_all)
-    else:
-        lab_list = labels_all.tolist()
-        n_lab = len(lab_list)
-        st = np.fromiter(
-            (sigma_tot.get(lab, 0.0) for lab in lab_list), np.float64, count=n_lab
-        )
-        st_known = np.fromiter(
-            (lab in sigma_tot for lab in lab_list), bool, count=n_lab
-        )
-        sz = np.fromiter(
-            (csize.get(lab, 1) for lab in lab_list), np.int64, count=n_lab
-        )
-        loc = np.fromiter(
-            (local_members.get(lab, 0) > 0 for lab in lab_list), bool, count=n_lab
-        )
+    st, st_known, sz, loc = table.lookup_eval(labels_all)
     pos_cu = np.searchsorted(labels_all, cu)
     pos_pc = np.searchsorted(labels_all, pc)
 

@@ -25,7 +25,7 @@ from repro.runtime.stats import RankStats, RunStats
 
 __all__ = ["run_spmd", "SPMDError", "SPMDResult", "resolve_backend"]
 
-_BACKENDS = ("thread", "process")
+BACKENDS = ("thread", "process")
 
 
 def resolve_backend(backend: str | None) -> tuple[str, bool]:
@@ -43,9 +43,9 @@ def resolve_backend(backend: str | None) -> tuple[str, bool]:
     else:
         name = backend
         explicit = True
-    if name not in _BACKENDS:
+    if name not in BACKENDS:
         raise ValueError(
-            f"unknown SPMD backend {name!r}; expected one of {_BACKENDS}"
+            f"unknown SPMD backend {name!r}; expected one of {BACKENDS}"
         )
     return name, explicit
 

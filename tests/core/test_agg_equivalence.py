@@ -1,29 +1,30 @@
-"""Equivalence of the dense aggregate-sync / merge kernels vs the scalar path.
+"""Exactness of the aggregate-sync and merge kernels.
 
-``agg_mode="dense"`` (default) replaces the dict-based owner aggregation,
-pull/push caches, and merge assembly with numpy table kernels.  Unlike the
-sweep modes — which legitimately land in different local optima — the dense
-kernels claim *bitwise* equivalence: identical labels, identical Q to the
-last ulp, identical per-phase wire bytes.  This suite pins that claim:
+The numpy table kernels replaced the seed's dict-based owner aggregation,
+pull/push caches and merge assembly while claiming *bitwise* equivalence:
+identical labels, identical Q to the last ulp, identical per-phase wire
+bytes.  This suite pins that claim:
 
 1. **Unit** — ``OwnerTable`` against a literal dict reference, including
    the insertion-order float accumulation of partial modularity;
-2. **Merge** — ``merge_level(impl="vectorized")`` vs ``impl="scalar"``
-   field-by-field on every rank;
-3. **End-to-end grid** — full pipeline, ``agg_mode`` dense vs scalar over
-   p × sync_mode × partitioning × sweep_mode: same assignment, same Q,
-   same per-phase byte counters.
+2. **Merge** — ``merge_level`` field-by-field on every rank against the
+   dict-based reference assembly kept here as an oracle;
+3. **End-to-end golden pin** — the full pipeline over p × sync_mode ×
+   partitioning × sweep_mode (plus ghost_mode × heuristic) on seeded
+   graphs must reproduce ``agg_pin.json`` exactly: assignment, Q bits,
+   iteration counts and every per-rank per-phase counter.  The pin was
+   recorded while the dict reference still ran end to end.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DistributedConfig, distributed_louvain
+from repro.core import merging
 from repro.core.community_table import OwnerTable
 from repro.core.merging import merge_level
-from repro.graph.generators import lfr_graph
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import run_spmd
+from tests.core.regen_agg_pin import CASES, REGEN_CMD, load_pin, run_case
 
 
 class DictOwnerReference:
@@ -116,7 +117,39 @@ class TestOwnerTableUnit:
         )
 
 
-def _merge_all_fields(graph, p, kind, impl, seed=3):
+def _assemble_scalar(
+    rank: int, size: int, k: int, ncu: np.ndarray, ncv: np.ndarray, nw: np.ndarray
+):
+    """Dict-based reference assembly of one rank's coarse rows (the seed's
+    ``merge_level`` step 4), the oracle for ``merging._assemble``."""
+    owned = np.arange(rank, k, size, dtype=np.int64)
+    wdeg = np.zeros(owned.size)
+    owned_pos = {int(c): i for i, c in enumerate(owned)}
+    selfloop = np.zeros(owned.size)
+    for c, d, ww in zip(ncu.tolist(), ncv.tolist(), nw.tolist()):
+        i = owned_pos[c]
+        wdeg[i] += ww
+        if c == d:
+            selfloop[i] += ww / 2.0
+
+    ghosts = np.unique(ncv[(ncv % size) != rank])
+    global_ids = np.concatenate([owned, ghosts])
+    local_of = {}
+    for i, g in enumerate(global_ids.tolist()):
+        local_of[g] = i
+
+    # store the self-loop at half its aggregated (doubled) weight
+    stored_w = np.where(ncu == ncv, nw / 2.0, nw)
+    src_local = np.fromiter(
+        (local_of[c] for c in ncu.tolist()), dtype=np.int64, count=ncu.size
+    )
+    dst_local = np.fromiter(
+        (local_of[c] for c in ncv.tolist()), dtype=np.int64, count=ncv.size
+    )
+    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
+
+
+def _merge_all_fields(graph, p, kind, seed=3):
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, max(graph.n_vertices // 4, 2),
                               size=graph.n_vertices)
@@ -128,17 +161,19 @@ def _merge_all_fields(graph, p, kind, impl, seed=3):
 
     def worker(comm):
         lg = part.locals[comm.rank]
-        return merge_level(comm, lg, assignment[lg.global_ids], impl=impl)
+        return merge_level(comm, lg, assignment[lg.global_ids])
 
-    return run_spmd(p, worker, timeout=60).results
+    # threads: the reference run patches the assembly in this interpreter
+    return run_spmd(p, worker, timeout=60, backend="thread").results
 
 
 class TestMergeImplEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["1d", "delegate"])
-    def test_vectorized_assembly_bitwise(self, ba_graph, p, kind):
-        vec = _merge_all_fields(ba_graph, p, kind, "vectorized")
-        ref = _merge_all_fields(ba_graph, p, kind, "scalar")
+    def test_vectorized_assembly_bitwise(self, ba_graph, p, kind, monkeypatch):
+        vec = _merge_all_fields(ba_graph, p, kind)
+        monkeypatch.setattr(merging, "_assemble", _assemble_scalar)
+        ref = _merge_all_fields(ba_graph, p, kind)
         for (vlg, vf, vc), (slg, sf, sc) in zip(vec, ref):
             assert np.array_equal(vf, sf) and np.array_equal(vc, sc)
             for name in (
@@ -154,57 +189,44 @@ class TestMergeImplEquivalence:
             for r in vlg.recv_from:
                 assert np.array_equal(vlg.recv_from[r], slg.recv_from[r])
 
-    def test_bad_impl_rejected(self, karate):
-        part = oned_partition(karate, 1)
 
-        def worker(comm):
-            lg = part.locals[comm.rank]
-            merge_level(comm, lg, np.zeros(lg.n_local, dtype=np.int64),
-                        impl="turbo")
-
-        with pytest.raises(Exception, match="impl"):
-            run_spmd(1, worker, timeout=30)
+PIN = load_pin()
 
 
-def _phase_bytes(stats):
-    return [dict(r.bytes_sent_by_phase) for r in stats.ranks]
+def _assert_pinned(case_id):
+    got, want = run_case(case_id), PIN[case_id]
+    diverged = sorted(k for k in want if got.get(k) != want[k])
+    assert not diverged, (
+        f"{case_id}: {diverged} diverged from the golden pin "
+        f"(tests/core/agg_pin.json): got {got}, pinned {want}.  If the "
+        f"behaviour change is intended, regenerate with `{REGEN_CMD}` and "
+        f"state it in CHANGES.md"
+    )
 
 
-def _run_both(graph, p, **kw):
-    out = {}
-    for agg in ("scalar", "dense"):
-        cfg = DistributedConfig(agg_mode=agg, d_high=32, **kw)
-        out[agg] = distributed_louvain(graph, p, cfg)
-    return out
+EXTRA_CASES = sorted(
+    c for c in CASES if c.split("-")[0] in ("greedy", "minlabel", "enhanced")
+)
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("sync_mode", ["full", "delta"])
     @pytest.mark.parametrize("partitioning", ["delegate", "1d"])
-    def test_gauss_seidel_grid(self, ba_graph, p, sync_mode, partitioning):
-        res = _run_both(
-            ba_graph, p, sync_mode=sync_mode, partitioning=partitioning
-        )
-        self._assert_identical(res["scalar"], res["dense"])
+    def test_gauss_seidel_grid(self, p, sync_mode, partitioning):
+        _assert_pinned(f"gs-{partitioning}-{sync_mode}-p{p}")
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("sync_mode", ["full", "delta"])
-    def test_vectorized_sweep_grid(self, ba_graph, p, sync_mode):
-        res = _run_both(
-            ba_graph, p, sync_mode=sync_mode, sweep_mode="vectorized"
-        )
-        self._assert_identical(res["scalar"], res["dense"])
+    def test_vectorized_sweep_grid(self, p, sync_mode):
+        _assert_pinned(f"vec-{sync_mode}-p{p}")
 
     def test_lfr_delta_delta(self):
-        graph = lfr_graph(300, mu=0.2, seed=21).graph
-        res = _run_both(graph, 4, sync_mode="delta", ghost_mode="delta")
-        self._assert_identical(res["scalar"], res["dense"])
+        _assert_pinned("lfr-delta-delta-p4")
 
-    def _assert_identical(self, a, b):
-        assert np.array_equal(a.assignment, b.assignment)
-        assert abs(a.modularity - b.modularity) < 1e-12
-        assert a.modularity_per_level == b.modularity_per_level
-        assert a.n_levels == b.n_levels
-        # wire-format preservation: per-rank, per-phase byte counts match
-        assert _phase_bytes(a.stats) == _phase_bytes(b.stats)
+    @pytest.mark.parametrize("case_id", EXTRA_CASES)
+    def test_heuristic_ghost_grid(self, case_id):
+        _assert_pinned(case_id)
+
+    def test_pin_covers_every_case(self):
+        assert sorted(PIN) == sorted(CASES), f"regenerate with `{REGEN_CMD}`"

@@ -97,6 +97,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             distributed_louvain(karate, 2, DistributedConfig(partitioning="2d"))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("sweep_mode", "jacobi"),
+            ("sync_mode", "x"),
+            ("ghost_mode", "x"),
+            ("heuristic", "x"),
+            ("backend", "mpi"),
+            ("partitioning", "2d"),
+        ],
+    )
+    def test_typo_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"DistributedConfig.{field}"):
+            DistributedConfig(**{field: value})
+
+    def test_typo_is_not_retried_as_a_crash(self, karate, monkeypatch):
+        import repro.core.distributed as dist
+
+        calls = []
+        monkeypatch.setattr(
+            dist, "distributed_louvain", lambda *a, **kw: calls.append(a)
+        )
+        with pytest.raises(ValueError, match="ghost_mode"):
+            dist.run_with_recovery(
+                karate, 2, DistributedConfig(ghost_mode="x"), max_retries=3
+            )
+        assert calls == []
+
     def test_default_config_used_when_none(self, karate):
         res = distributed_louvain(karate, 2)
         assert res.modularity > 0

@@ -5,7 +5,8 @@ algorithm as the scalar Gauss–Seidel loop:
 
 1. **Snapshot equivalence** — against one frozen community state, the bulk
    kernel's per-row ``(chosen, gain, stay)`` must match
-   ``LocalClustering._evaluate_vertex`` *exactly*, for every heuristic
+   ``LocalClustering._evaluate_vertex`` (on dict mirrors of the same
+   ``CommunityTable``) *exactly*, for every heuristic
    (same Eq. 4 arithmetic, same tie-breaking, same vetoes);
 2. **End-to-end equivalence** — full pipeline runs in both modes land on
    equivalent final modularity (trajectories legitimately differ:
@@ -50,14 +51,14 @@ def _snapshot_mismatches(graph, p, heuristic):
             comm_of=lc.comm_of,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            sigma_tot=lc.sigma_tot,
-            csize=lc.csize,
-            local_members=lc.local_members,
+            table=lc.ctab,
             two_m=lc.two_m,
             resolution=lc.resolution,
             theta=lc.theta,
             heuristic_name=heuristic,
         )
+        # the scalar evaluator reads the per-pass dict mirrors of the table
+        lc.sigma_tot, lc.csize, lc.local_members = lc.ctab.as_dicts()
         bad = []
         for u in range(lg.n_rows):
             c, g, s = lc._evaluate_vertex(u)

@@ -68,24 +68,23 @@ GRID = list(
         [1, 2, 4],  # p
         ["full", "delta"],  # sync_mode
         ["gauss-seidel", "vectorized"],  # sweep_mode
-        ["dense", "scalar"],  # agg_mode
     )
 )
 
 
+# the "-dense" id suffix names the CommunityTable cache every cell runs on
 @pytest.mark.parametrize(
-    "p,sync_mode,sweep_mode,agg_mode",
+    "p,sync_mode,sweep_mode",
     GRID,
-    ids=[f"p{p}-{s}-{sw}-{a}" for p, s, sw, a in GRID],
+    ids=[f"p{p}-{s}-{sw}-dense" for p, s, sw in GRID],
 )
-def test_conformance_grid(graph, p, sync_mode, sweep_mode, agg_mode):
+def test_conformance_grid(graph, p, sync_mode, sweep_mode):
     results = {}
     for backend in ("thread", "process"):
         cfg = DistributedConfig(
             backend=backend,
             sync_mode=sync_mode,
             sweep_mode=sweep_mode,
-            agg_mode=agg_mode,
             d_high=32,
             timeout=60.0,
         )
