@@ -27,7 +27,6 @@ Failure detection:
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any
 
 from repro.runtime.commbase import (
@@ -37,10 +36,13 @@ from repro.runtime.commbase import (
     CorruptionError,
     DeadlockError,
     Request,
-    _Envelope,
-    _TraceSpan,  # noqa: F401  (re-export: mpi_adapter imports it from here)
+    _deliveries,
+    _never_completed,
+    _order_diverged,
+    _recv_timed_out,
+    _world_aborted,
 )
-from repro.runtime.stats import RankStats, payload_checksum
+from repro.runtime.stats import RankStats
 
 __all__ = [
     "SimComm",
@@ -101,11 +103,7 @@ class _World:
             with self._lock:
                 complete = all(t is not None for t in ops)
             if not complete:
-                raise DeadlockError(
-                    f"rank {rank}: collective {op or '?'} (generation {gen}) "
-                    "never completed (a peer failed or diverged from the SPMD "
-                    "collective order)"
-                ) from None
+                raise _never_completed(rank, gen, op) from None
         result = list(buf)
         op_tags = list(ops)
         with self._lock:
@@ -117,13 +115,7 @@ class _World:
             else:
                 self._coll_reads[gen] = n
         if any(t != op_tags[0] for t in op_tags):
-            detail = ", ".join(
-                f"rank {r}: {t or '?'}" for r, t in enumerate(op_tags)
-            )
-            raise CollectiveMismatchError(
-                f"rank {rank}: SPMD collective order diverged at generation "
-                f"{gen} ({detail})"
-            )
+            raise _order_diverged(rank, gen, op_tags)
         return result
 
     # -- point-to-point ---------------------------------------------------
@@ -137,7 +129,7 @@ class _World:
         key = (src, dst, tag)
         with self._mail_cv:
             if self.aborted:
-                raise DeadlockError(f"rank {dst}: world aborted while receiving")
+                raise _world_aborted(dst)
             box = self._mail.get(key)
             if not box:
                 return False, None
@@ -152,18 +144,11 @@ class _World:
             ok = self._mail_cv.wait_for(
                 lambda: self.aborted or bool(self._mail.get(key)), timeout=timeout
             )
-            if self.aborted:
-                raise DeadlockError(f"rank {dst}: world aborted while receiving")
-            if not ok:
-                raise DeadlockError(
-                    f"rank {dst}: recv(source={src}, tag={tag}) timed out "
-                    f"after {timeout}s"
-                )
-            box = self._mail[key]
-            payload = box.pop(0)
-            if not box:
-                del self._mail[key]
-            return payload
+            if not ok and not self.aborted:
+                raise _recv_timed_out(dst, src, tag, timeout)
+            # raises on abort, else pops the waiting payload (the
+            # condition's default RLock is re-entrant)
+            return self.try_take(src, dst, tag)[1]
 
 
 class SimComm(CommBase):
@@ -183,23 +168,15 @@ class SimComm(CommBase):
 
     # -- transport primitives -------------------------------------------
     def _exchange(self, gen: int, value: Any, op: str) -> list[Any]:
-        return self._world.exchange(self.rank, gen, value, op=op)
+        out = self._world.exchange(self.rank, gen, value, op=op)
+        if op == "alltoall":
+            return [row[self.rank] for row in out]
+        return out
 
     def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
-        deliveries: list[Any] = [obj]
-        delay = 0.0
-        injector = self._world.injector
-        if injector is not None:
-            deliveries, delay = injector.on_send(self.rank, dest, tag, obj)
-        if self._world.checksums:
-            # checksum the ORIGINAL payload: in-transit corruption (which
-            # happens after the injector hook) must not update it
-            crc = payload_checksum(obj)
-            deliveries = [_Envelope(d, crc) for d in deliveries]
-        if delay > 0:
-            time.sleep(delay)
-        for d in deliveries:
-            self._world.put(self.rank, dest, tag, d)
+        w = self._world
+        for d in _deliveries(w.injector, w.checksums, self.rank, dest, tag, obj):
+            w.put(self.rank, dest, tag, d)
 
     def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
         return self._world.take(source, self.rank, tag, timeout)

@@ -3,14 +3,16 @@
 :class:`CommBase` is the single implementation of the mpi4py-flavoured API
 that SPMD programs run against — phase tagging, compute/traffic accounting,
 tracer hooks, checksum envelopes, and every collective's byte/message model
-live here, shared verbatim by both execution backends:
+live here, shared verbatim by all three transports:
 
 * :class:`repro.runtime.comm.SimComm` — thread backend, transport is the
   in-process :class:`~repro.runtime.comm._World`;
 * :class:`repro.runtime.process_backend.ProcComm` — process backend,
-  transport is a pickle-framed duplex pipe to the parent router.
+  transport is a pickle-framed duplex pipe to the parent router;
+* :class:`repro.runtime.mpi_adapter.MPIAdapter` — a real (or duck-typed)
+  mpi4py communicator, for ``mpirun`` deployments.
 
-Because the accounting code is literally shared, the two backends produce
+Because the accounting code is literally shared, the transports produce
 identical per-rank per-phase byte, message, collective and superstep
 counters for the same SPMD program — the invariant the cross-backend
 conformance suite (``tests/runtime/test_backend_equivalence.py``) pins.
@@ -19,9 +21,11 @@ Subclasses implement only the transport primitives:
 
 ``_exchange(gen, value, op)``
     The collective primitive: deposit ``value`` for generation ``gen`` and
-    return every rank's contribution (raising
-    :class:`CollectiveMismatchError` when op tags diverge and
-    :class:`DeadlockError` when the collective cannot complete).
+    return every rank's contribution — except for ``op == "alltoall"``,
+    where ``value`` is this rank's row of ``p`` payloads and the result is
+    the column addressed to this rank (``result[src]`` is what ``src`` sent
+    here).  Raises :class:`CollectiveMismatchError` when op tags diverge
+    and :class:`DeadlockError` when the collective cannot complete.
 ``_transport_send(dest, tag, obj)``
     Deliver one point-to-point payload (applying fault injection and
     checksum wrapping on the way).
@@ -117,6 +121,56 @@ class CollectiveMismatchError(CommError):
 
 class CorruptionError(CommError):
     """A point-to-point payload failed its checksum at ``recv``."""
+
+
+def _deliveries(
+    injector, checksums: bool, src: int, dst: int, tag: int, obj: Any
+) -> list[Any]:
+    """What the wire delivers for one p2p send: the fault injector's
+    drop/duplicate/corrupt/delay verdict (the delay is slept here), each
+    copy envelope-wrapped with the ORIGINAL payload's checksum so
+    in-transit corruption is caught at ``recv``."""
+    deliveries: list[Any] = [obj]
+    delay = 0.0
+    if injector is not None:
+        deliveries, delay = injector.on_send(src, dst, tag, obj)
+    if checksums:
+        crc = payload_checksum(obj)
+        deliveries = [_Envelope(d, crc) for d in deliveries]
+    if delay > 0:
+        time.sleep(delay)
+    return deliveries
+
+
+# transport error texts, shared so every backend words its failures alike
+
+
+def _order_diverged(
+    rank: int, gen: int, ops: Sequence[str | None]
+) -> CollectiveMismatchError:
+    detail = ", ".join(f"rank {r}: {t or '?'}" for r, t in enumerate(ops))
+    return CollectiveMismatchError(
+        f"rank {rank}: SPMD collective order diverged at generation {gen} "
+        f"({detail})"
+    )
+
+
+def _never_completed(rank: int, gen: int, op: str) -> DeadlockError:
+    return DeadlockError(
+        f"rank {rank}: collective {op or '?'} (generation {gen}) "
+        "never completed (a peer failed or diverged from the SPMD "
+        "collective order)"
+    )
+
+
+def _world_aborted(rank: int) -> DeadlockError:
+    return DeadlockError(f"rank {rank}: world aborted while receiving")
+
+
+def _recv_timed_out(rank: int, src: int, tag: int, timeout: float) -> DeadlockError:
+    return DeadlockError(
+        f"rank {rank}: recv(source={src}, tag={tag}) timed out after {timeout}s"
+    )
 
 
 @dataclass(frozen=True)
@@ -441,8 +495,7 @@ class CommBase:
         for i, b in enumerate(nb):
             if i != self.rank and b > 0:
                 self.stats.add_edge(i, b, self._phase)
-        rows = self._exchange(self._next_gen(), list(values), op="alltoall")
-        out = [rows[src][self.rank] for src in range(self.size)]
+        out = self._exchange(self._next_gen(), list(values), op="alltoall")
         recv = sum(
             payload_nbytes(v) for i, v in enumerate(out) if i != self.rank
         )

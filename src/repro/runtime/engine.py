@@ -1,15 +1,21 @@
 """SPMD engine: run one function on ``p`` ranks.
 
-Two execution backends share the :func:`run_spmd` entry point:
+:func:`run_spmd` is the one entry point.  It validates the request, binds
+the fault injector, surfaces errors and assembles :class:`RunStats`; the
+launching itself is looked up by name in one table:
 
 * ``"thread"`` (default) — one daemon thread per rank in this interpreter,
   communicating through the in-process :class:`~repro.runtime.comm._World`;
 * ``"process"`` — one spawned interpreter per rank with shared-memory graph
   segments and pipe-routed messaging
-  (:mod:`repro.runtime.process_backend`), for true multi-core execution.
+  (:func:`repro.runtime.process_backend.run_processes`), for true
+  multi-core execution.
 
 Both produce identical results, byte accounting and failure semantics; the
-cross-backend conformance suite pins the equivalence.
+cross-backend conformance suite pins the equivalence.  The third
+:class:`~repro.runtime.commbase.CommBase` transport,
+:class:`~repro.runtime.mpi_adapter.MPIAdapter`, is not in the table: MPI
+programs are started by ``mpirun``, not launched from Python.
 """
 
 from __future__ import annotations
@@ -20,12 +26,61 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.runtime.comm import SimComm, _World
+from repro.runtime.comm import DeadlockError, SimComm, _World
+from repro.runtime.process_backend import ProgramNotPicklableError, run_processes
 from repro.runtime.stats import RankStats, RunStats
 
 __all__ = ["run_spmd", "SPMDError", "SPMDResult", "resolve_backend"]
 
-BACKENDS = ("thread", "process")
+
+def _run_threads(
+    n_ranks: int,
+    fn: Callable[..., Any],
+    args: tuple,
+    kwargs: dict,
+    *,
+    timeout: float,
+    injector: Any,
+    checksums: bool,
+    tracer: Any,
+) -> tuple[list[Any], list[BaseException | None], list[RankStats]]:
+    """The ``"thread"`` launcher: one daemon thread per rank, all sharing
+    one in-process :class:`_World`.  Returns ``(results, errors,
+    rank_stats)``."""
+    world = _World(n_ranks, timeout=timeout, injector=injector, checksums=checksums)
+    rank_stats = [RankStats(rank=r) for r in range(n_ranks)]
+    results: list[Any] = [None] * n_ranks
+    errors: list[BaseException | None] = [None] * n_ranks
+
+    def worker(rank: int) -> None:
+        rank_tracer = tracer.rank(rank) if tracer is not None else None
+        comm = SimComm(world, rank, rank_stats[rank], tracer=rank_tracer)
+        try:
+            results[rank] = fn(comm, *args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - must not leak threads
+            errors[rank] = exc
+            world.abort()
+        finally:
+            # flush trailing activity (work after the rank's last
+            # collective) so the superstep log agrees with the per-phase
+            # totals — also on failure, for post-mortem traces
+            rank_stats[rank].flush()
+
+    threads = [
+        threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
+        for r in range(n_ranks)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results, errors, rank_stats
+
+
+# backend name -> launcher; every launcher takes
+# ``(n_ranks, fn, args, kwargs, *, timeout, injector, checksums, tracer)``
+_LAUNCHERS = {"thread": _run_threads, "process": run_processes}
+BACKENDS = tuple(_LAUNCHERS)
 
 
 def resolve_backend(backend: str | None) -> tuple[str, bool]:
@@ -96,7 +151,9 @@ def run_spmd(
         ``REPRO_DEFAULT_BACKEND``, default thread).  The process backend
         runs each rank in its own spawned interpreter for true multi-core
         execution; results, byte accounting and failure semantics are
-        identical across backends.
+        identical across backends.  There is no ``"mpi"`` backend: wrap
+        ``MPI.COMM_WORLD`` in :class:`~repro.runtime.mpi_adapter.MPIAdapter`
+        under ``mpirun`` instead.
     timeout:
         Per-blocking-operation deadlock timeout in seconds.
     faults:
@@ -123,40 +180,13 @@ def run_spmd(
     Raises
     ------
     SPMDError
-        If any rank raises, the lowest-numbered failing rank's exception is
-        re-raised (wrapped), after the world is aborted so no thread leaks.
+        If any rank raises, the lowest-numbered rank that failed on its own
+        (not merely aborted by another rank's failure) is re-raised
+        (wrapped), after the world is aborted so no rank leaks.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
     resolved, explicit = resolve_backend(backend)
-    if resolved == "process":
-        from repro.runtime.process_backend import (
-            ProgramNotPicklableError,
-            run_spmd_process,
-        )
-
-        try:
-            return run_spmd_process(
-                n_ranks,
-                fn,
-                *args,
-                timeout=timeout,
-                faults=faults,
-                checksums=checksums,
-                tracer=tracer,
-                **kwargs,
-            )
-        except ProgramNotPicklableError:
-            if explicit:
-                raise
-            # REPRO_DEFAULT_BACKEND=process is a blanket preference; local
-            # closures (common in tests) can only run on threads
-            warnings.warn(
-                "REPRO_DEFAULT_BACKEND=process but the SPMD program is not "
-                "picklable; falling back to the thread backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     injector = None
     if faults is not None:
         from repro.runtime.faults import FaultInjector
@@ -165,49 +195,38 @@ def run_spmd(
             faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
         )
         injector.bind(n_ranks)
-    world = _World(n_ranks, timeout=timeout, injector=injector, checksums=checksums)
-    rank_stats = [RankStats(rank=r) for r in range(n_ranks)]
-    results: list[Any] = [None] * n_ranks
-    errors: list[BaseException | None] = [None] * n_ranks
+    launch = dict(
+        timeout=timeout, injector=injector, checksums=checksums, tracer=tracer
+    )
+    try:
+        results, errors, rank_stats = _LAUNCHERS[resolved](
+            n_ranks, fn, args, kwargs, **launch
+        )
+    except ProgramNotPicklableError:
+        if explicit:
+            raise
+        # REPRO_DEFAULT_BACKEND=process is a blanket preference; local
+        # closures (common in tests) can only run on threads
+        warnings.warn(
+            "REPRO_DEFAULT_BACKEND=process but the SPMD program is not "
+            "picklable; falling back to the thread backend",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        results, errors, rank_stats = _run_threads(
+            n_ranks, fn, args, kwargs, **launch
+        )
 
-    def worker(rank: int) -> None:
-        rank_tracer = tracer.rank(rank) if tracer is not None else None
-        comm = SimComm(world, rank, rank_stats[rank], tracer=rank_tracer)
-        try:
-            results[rank] = fn(comm, *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - must not leak threads
-            errors[rank] = exc
-            world.abort()
-        finally:
-            # flush trailing activity (work after the rank's last
-            # collective) so the superstep log agrees with the per-phase
-            # totals — also on failure, for post-mortem traces
-            rank_stats[rank].flush()
-
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
-        for r in range(n_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    for rank, exc in enumerate(errors):
-        if exc is not None and not _is_secondary_abort(exc):
-            raise SPMDError(rank, exc) from exc
-    # only secondary aborts (or nothing) left; if any error remains, surface it
-    for rank, exc in enumerate(errors):
-        if exc is not None:
-            raise SPMDError(rank, exc) from exc
+    # the lowest-numbered rank that failed on its own outranks the ranks
+    # its failure merely aborted (broken barriers, released receives)
+    failed = [(rank, exc) for rank, exc in enumerate(errors) if exc is not None]
+    secondary = (threading.BrokenBarrierError, DeadlockError)
+    if failed:
+        rank, exc = next(
+            (f for f in failed if not isinstance(f[1], secondary)), failed[0]
+        )
+        raise SPMDError(rank, exc) from exc
     stats = RunStats(ranks=rank_stats)
     if tracer is not None:
         stats.spans = tracer.span_records()
     return SPMDResult(results=results, stats=stats)
-
-
-def _is_secondary_abort(exc: BaseException) -> bool:
-    """True for errors caused by another rank's failure (broken barriers)."""
-    from repro.runtime.comm import DeadlockError
-
-    return isinstance(exc, (threading.BrokenBarrierError, DeadlockError))

@@ -1,6 +1,6 @@
 """Process-based SPMD backend: one OS process per rank.
 
-Drop-in alternative to the thread engine (select it with
+Drop-in alternative to the thread launcher (select it with
 ``run_spmd(..., backend="process")``, ``DistributedConfig(backend=...)`` or
 ``REPRO_DEFAULT_BACKEND=process``): every rank runs in its own spawned
 interpreter, so the non-NumPy portions of a superstep execute in true
@@ -17,7 +17,8 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   ``("event", name)`` and a final ``("done", ...)``/``("err", ...)`` frame;
   the parent routes p2p frames to their destination, assembles collectives
   by generation, and answers with ``("coll_ok"|"coll_err"|"coll_abort")``,
-  ``("crash")``, ``("ok")`` and ``("abort")`` frames.
+  ``("crash")``, ``("ok")`` and ``("abort")`` frames.  An ``alltoall``
+  ``coll_ok`` carries only the column addressed to its child.
 * :class:`ProcComm` subclasses :class:`~repro.runtime.commbase.CommBase`,
   so byte/message accounting, op-tag mismatch formatting, checksum
   envelopes and superstep flush semantics are literally the thread
@@ -30,7 +31,10 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   in its program the thread backend would.
 * A child that dies without a final frame (hard crash, ``os._exit``)
   surfaces as :class:`ChildCrashError` on its rank — which
-  ``run_with_recovery`` treats like any other failed rank.
+  ``run_with_recovery`` treats like any other failed rank.  One that dies
+  before sending any frame at all names its exit code and the usual cause:
+  a launching script whose unguarded ``__main__`` every spawned rank
+  re-imports.
 
 Failure semantics mirror the thread world's abort protocol: when any rank
 errors, the parent replies ``coll_abort`` to every rank blocked in an
@@ -51,16 +55,20 @@ from typing import Any, Callable
 
 from repro.graph.shm import SharedArena, shm_dumps, shm_loads
 from repro.runtime.commbase import (
-    CollectiveMismatchError,
     CommBase,
     CommError,
     DeadlockError,
+    _deliveries,
     _Envelope,
+    _never_completed,
+    _order_diverged,
+    _recv_timed_out,
+    _world_aborted,
 )
-from repro.runtime.stats import RankStats, RunStats, payload_checksum
+from repro.runtime.stats import RankStats, payload_checksum
 
 __all__ = [
-    "run_spmd_process",
+    "run_processes",
     "ProcComm",
     "ChildCrashError",
     "ProgramNotPicklableError",
@@ -74,15 +82,6 @@ class ChildCrashError(RuntimeError):
 class ProgramNotPicklableError(TypeError):
     """The SPMD program (or its arguments) cannot be shipped to a spawned
     interpreter.  Use a module-level function, or the thread backend."""
-
-
-def _never_completed(rank: int, gen: int, op: str) -> DeadlockError:
-    # identical wording to the thread backend's _World.exchange
-    return DeadlockError(
-        f"rank {rank}: collective {op or '?'} (generation {gen}) "
-        "never completed (a peer failed or diverged from the SPMD "
-        "collective order)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ class ProcComm(CommBase):
         self._aborted = False
         # (src, tag) -> FIFO of delivered payloads
         self._mail: dict[tuple[int, int], list[Any]] = {}
-        # gen -> ("ok", values) | ("err", detail) | ("abort", None)
+        # gen -> ("ok", values) | ("err", op tags) | ("abort", None)
         self._coll_replies: dict[int, tuple[str, Any]] = {}
         self._event_acks = 0
 
@@ -155,13 +154,8 @@ class ProcComm(CommBase):
         except (EOFError, BrokenPipeError, OSError):
             # the parent is gone; nothing can ever be delivered again
             self._aborted = True
-            raise DeadlockError(
-                f"rank {self.rank}: world aborted while receiving"
-            ) from None
+            raise _world_aborted(self.rank) from None
         return True
-
-    def _drain(self) -> None:
-        self._pump(0)
 
     # -- transport primitives -------------------------------------------
     def _exchange(self, gen: int, value: Any, op: str) -> list[Any]:
@@ -174,10 +168,7 @@ class ProcComm(CommBase):
                 if status == "ok":
                     return data
                 if status == "err":
-                    raise CollectiveMismatchError(
-                        f"rank {self.rank}: SPMD collective order diverged "
-                        f"at generation {gen} ({data})"
-                    )
+                    raise _order_diverged(self.rank, gen, data)
                 raise _never_completed(self.rank, gen, op)
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._pump(remaining):
@@ -195,34 +186,20 @@ class ProcComm(CommBase):
         self._conn.send(("p2p", dest, tag, obj))
 
     def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
-        key = (source, tag)
         deadline = time.monotonic() + timeout
         while True:
-            self._drain()
-            # abort wins over a pending delivery, like _World.take
-            if self._aborted:
-                raise DeadlockError(
-                    f"rank {self.rank}: world aborted while receiving"
-                )
-            box = self._mail.get(key)
-            if box:
-                payload = box.pop(0)
-                if not box:
-                    del self._mail[key]
+            ok, payload = self._transport_try_recv(source, tag)
+            if ok:
                 return payload
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._pump(remaining):
-                raise DeadlockError(
-                    f"rank {self.rank}: recv(source={source}, tag={tag}) "
-                    f"timed out after {timeout}s"
-                )
+                raise _recv_timed_out(self.rank, source, tag, timeout)
 
     def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        self._drain()
+        self._pump(0)
+        # abort wins over a pending delivery, like _World.take
         if self._aborted:
-            raise DeadlockError(
-                f"rank {self.rank}: world aborted while receiving"
-            )
+            raise _world_aborted(self.rank)
         key = (source, tag)
         box = self._mail.get(key)
         if not box:
@@ -321,15 +298,16 @@ class _Router:
     one-shot state alive across child generations.
     """
 
-    def __init__(self, conns, injector, checksums: bool) -> None:
+    def __init__(self, conns, procs, injector, checksums: bool) -> None:
         self.size = len(conns)
         self.conns = conns
+        self.procs = procs
         self.injector = injector
         self.checksums = checksums
         self._send_locks = [threading.Lock() for _ in conns]
         self._coll_lock = threading.Lock()
-        # gen -> {"values": [...], "ops": [...], "n": deposits so far}
-        self._coll: dict[int, dict] = {}
+        # gen -> (values, op tags) deposited so far, None where missing
+        self._coll: dict[int, tuple[list, list]] = {}
         self.aborted = False
         self.results: list[Any] = [None] * self.size
         self.errors: list[BaseException | None] = [None] * self.size
@@ -351,94 +329,77 @@ class _Router:
             self.aborted = True
             pending = list(self._coll.items())
             self._coll.clear()
-        for gen, entry in pending:
-            for r, tag in enumerate(entry["ops"]):
+        for gen, (_, ops) in pending:
+            for r, tag in enumerate(ops):
                 if tag is not None:
                     self._send(r, ("coll_abort", gen))
         for r in range(self.size):
             self._send(r, ("abort",))
 
     # -- frame handlers (run on reader threads) --------------------------
-    def _on_coll(self, rank: int, gen: int, op: str, value: Any) -> None:
-        if self.injector is not None:
-            from repro.runtime.faults import InjectedCrash
+    def _injected_crash(self, rank: int, hook: str, *args: Any) -> bool:
+        """Run injector ``hook`` for ``rank``; True if it crashed the rank
+        (the child is told, and raises at the same program point)."""
+        if self.injector is None:
+            return False
+        from repro.runtime.faults import InjectedCrash
 
-            try:
-                # stragglers sleep here, on this child's reader thread,
-                # delaying the deposit exactly like a slow thread-rank
-                self.injector.on_collective(rank, gen)
-            except InjectedCrash as exc:
-                self._send(rank, ("crash", str(exc)))
-                return
-        entry = None
+        try:
+            getattr(self.injector, hook)(rank, *args)
+        except InjectedCrash as exc:
+            self._send(rank, ("crash", str(exc)))
+            return True
+        return False
+
+    def _on_coll(self, rank: int, gen: int, op: str, value: Any) -> None:
+        # stragglers sleep in the hook, on this child's reader thread,
+        # delaying the deposit exactly like a slow thread-rank
+        if self._injected_crash(rank, "on_collective", gen):
+            return
         with self._coll_lock:
             aborted = self.aborted
             if not aborted:
-                entry = self._coll.setdefault(
-                    gen,
-                    {
-                        "values": [None] * self.size,
-                        "ops": [None] * self.size,
-                        "n": 0,
-                    },
+                values, ops = self._coll.setdefault(
+                    gen, ([None] * self.size, [None] * self.size)
                 )
-                entry["values"][rank] = value
-                entry["ops"][rank] = op
-                entry["n"] += 1
-                if entry["n"] == self.size:
-                    self._coll.pop(gen)
-                else:
+                values[rank] = value
+                ops[rank] = op
+                if None in ops:
                     # incomplete: either the remaining deposits complete it
                     # later, or abort_all answers every depositor
-                    entry = None
+                    return
+                del self._coll[gen]
         if aborted:
             # thread equivalent: broken barrier + incomplete ops
             self._send(rank, ("coll_abort", gen))
-            return
-        if entry is None:
-            return
-        ops = entry["ops"]
-        if any(t != ops[0] for t in ops):
-            detail = ", ".join(f"rank {r}: {t or '?'}" for r, t in enumerate(ops))
+        elif any(t != ops[0] for t in ops):
             for dst in range(self.size):
-                self._send(dst, ("coll_err", gen, detail))
+                self._send(dst, ("coll_err", gen, ops))
+        elif ops[0] == "alltoall":
+            for dst in range(self.size):
+                column = [values[src][dst] for src in range(self.size)]
+                self._send(dst, ("coll_ok", gen, column))
         else:
             for dst in range(self.size):
-                self._send(dst, ("coll_ok", gen, entry["values"]))
+                self._send(dst, ("coll_ok", gen, values))
 
     def _on_p2p(self, src: int, dst: int, tag: int, payload: Any) -> None:
-        deliveries = [payload]
-        delay = 0.0
-        if self.injector is not None:
-            deliveries, delay = self.injector.on_send(src, dst, tag, payload)
-        if self.checksums:
-            # checksum the ORIGINAL payload, same as the thread backend:
-            # injected corruption must not update it
-            crc = payload_checksum(payload)
-            deliveries = [_Envelope(d, crc) for d in deliveries]
-        if delay > 0:
-            time.sleep(delay)
-        for d in deliveries:
+        for d in _deliveries(self.injector, self.checksums, src, dst, tag, payload):
             self._send(dst, ("p2p", src, tag, d))
 
     def _on_event(self, rank: int, name: str) -> None:
-        if self.injector is not None:
-            from repro.runtime.faults import InjectedCrash
-
-            try:
-                self.injector.on_event(rank, name)
-            except InjectedCrash as exc:
-                self._send(rank, ("crash", str(exc)))
-                return
-        self._send(rank, ("ok",))
+        if not self._injected_crash(rank, "on_event", name):
+            self._send(rank, ("ok",))
 
     # -- reader loop -----------------------------------------------------
     def _reader(self, rank: int) -> None:
         conn = self.conns[rank]
         finished = False
+        heard = False  # any frame at all: the child got past bootstrap
         try:
             while True:
                 frame = conn.recv()
+                heard = True
                 kind = frame[0]
                 if kind == "coll":
                     self._on_coll(rank, frame[1], frame[2], frame[3])
@@ -468,11 +429,22 @@ class _Router:
             pass
         finally:
             if not finished and self.errors[rank] is None:
-                self.errors[rank] = ChildCrashError(
-                    f"rank {rank}: child process died without reporting "
-                    "a result"
-                )
+                self.errors[rank] = self._crash_error(rank, heard)
                 self.abort_all()
+
+    def _crash_error(self, rank: int, heard: bool) -> ChildCrashError:
+        msg = f"rank {rank}: child process died without reporting a result"
+        if heard:
+            return ChildCrashError(msg)
+        proc = self.procs[rank]
+        proc.join(timeout=5.0)
+        return ChildCrashError(
+            f"{msg} (exit code {proc.exitcode}) and without sending a single "
+            "frame, which usually means it failed before the SPMD program "
+            "started. A spawned rank re-imports the launching script's "
+            "__main__ module, so the script must guard its entry point with "
+            "`if __name__ == \"__main__\":`."
+        )
 
     def run(self) -> None:
         readers = [
@@ -487,34 +459,24 @@ class _Router:
             t.join()
 
 
-def run_spmd_process(
+def run_processes(
     n_ranks: int,
     fn: Callable[..., Any],
-    *args: Any,
-    timeout: float = 120.0,
-    faults: Any = None,
-    checksums: bool = False,
-    tracer: Any = None,
-    **kwargs: Any,
-):
-    """Process-backend implementation behind ``run_spmd(backend="process")``.
+    args: tuple,
+    kwargs: dict,
+    *,
+    timeout: float,
+    injector: Any,
+    checksums: bool,
+    tracer: Any,
+) -> tuple[list[Any], list[BaseException | None], list[RankStats]]:
+    """The ``"process"`` launcher of :func:`repro.runtime.engine.run_spmd`.
 
-    Same signature, semantics and return type as the thread engine; see
-    :func:`repro.runtime.engine.run_spmd` for the parameter contract.
+    Runs ``fn(comm, *args, **kwargs)`` in one spawned interpreter per rank
+    and returns ``(results, errors, rank_stats)``; raises
+    :class:`ProgramNotPicklableError` before spawning anything when the
+    program cannot be shipped.
     """
-    from repro.runtime.engine import SPMDError, SPMDResult, _is_secondary_abort
-
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    injector = None
-    if faults is not None:
-        from repro.runtime.faults import FaultInjector
-
-        injector = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
-        injector.bind(n_ranks)
-
     try:
         payload, arena = shm_dumps((fn, args, kwargs))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
@@ -551,7 +513,7 @@ def run_spmd_process(
             parent_conns.append(parent_end)
             procs.append(proc)
 
-        router = _Router(parent_conns, injector, checksums)
+        router = _Router(parent_conns, procs, injector, checksums)
         router.run()
     finally:
         for conn in parent_conns:
@@ -576,19 +538,9 @@ def run_spmd_process(
         for r, s in enumerate(router.stats)
     ]
     if tracer is not None:
-        # merge BEFORE error handling so post-mortem traces survive
+        # children traced on their own recorders; merge their events, also
+        # from failed ranks, so post-mortem traces survive
         for r, events in enumerate(router.events):
             if events:
                 tracer.rank(r).events.extend(events)
-
-    for rank, exc in enumerate(router.errors):
-        if exc is not None and not _is_secondary_abort(exc):
-            raise SPMDError(rank, exc) from exc
-    for rank, exc in enumerate(router.errors):
-        if exc is not None:
-            raise SPMDError(rank, exc) from exc
-
-    stats = RunStats(ranks=rank_stats)
-    if tracer is not None:
-        stats.spans = tracer.span_records()
-    return SPMDResult(results=router.results, stats=stats)
+    return router.results, router.errors, rank_stats

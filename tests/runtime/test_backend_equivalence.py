@@ -1,23 +1,32 @@
-"""Cross-backend conformance: thread and process backends are equivalent.
+"""Cross-transport conformance: thread, process and MPI are equivalent.
 
-The process backend re-implements only the transport layer; everything
-observable — final labels, modularity, per-rank per-phase byte/message/
-collective counters, superstep logs — must be bit-identical to the thread
-backend on the same input.  This grid pins that equivalence over every
-runtime-relevant configuration axis of the distributed Louvain algorithm.
+The process backend and the MPI adapter re-implement only the transport
+layer; everything observable — final labels, modularity, per-rank
+per-phase byte/message/collective counters, comm matrix, superstep logs —
+must be bit-identical to the thread backend on the same input.  This grid
+pins that equivalence over every runtime-relevant configuration axis of the
+distributed Louvain algorithm.  The MPI adapter runs over the duck-typed
+fake communicator of :mod:`tests.runtime.fake_mpi`.
 
 All SPMD programs here are module-level: the process backend ships them to
 spawned interpreters by reference.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import DistributedConfig, distributed_louvain
+from repro.core.distributed import _worker
 from repro.graph.generators import barabasi_albert
+from repro.partition import delegate_partition
 from repro.runtime import ProgramNotPicklableError, run_spmd
+from tests.runtime.fake_mpi import run_fake_mpi
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -45,6 +54,10 @@ def _phase_counters(stats):
                     (s.phase, s.compute, s.bytes_sent, s.bytes_recv, s.messages)
                     for s in r.supersteps
                 ],
+                "sent_to": {
+                    ph: {dst: list(cell) for dst, cell in row.items()}
+                    for ph, row in r.sent_to_by_phase.items()
+                },
             }
         )
     return out
@@ -90,6 +103,38 @@ def test_conformance_grid(graph, p, sync_mode, sweep_mode):
         )
         results[backend] = distributed_louvain(graph, p, cfg)
     assert_equivalent(results["thread"], results["process"])
+
+
+def _labels(worker_results):
+    """Compose every rank's ``_worker`` level maps into flat labels (the
+    composition ``distributed_louvain`` performs)."""
+    flat = None
+    for lvl in range(len(worker_results[0][0])):
+        ids = np.concatenate([res[0][lvl][0] for res in worker_results])
+        coarse = np.concatenate([res[0][lvl][1] for res in worker_results])
+        mapping = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+        mapping[ids] = coarse
+        flat = mapping if flat is None else mapping[flat]
+    return flat
+
+
+@pytest.mark.parametrize(
+    "p,sync_mode,sweep_mode", GRID, ids=[f"p{p}-{s}-{sw}" for p, s, sw in GRID]
+)
+def test_fake_mpi_conformance_grid(graph, p, sync_mode, sweep_mode):
+    """The full SPMD program over ``MPIAdapter`` matches the thread backend
+    bit for bit: labels, Q, level reports and every per-rank counter."""
+    cfg = DistributedConfig(
+        sync_mode=sync_mode, sweep_mode=sweep_mode, d_high=32, timeout=60.0
+    )
+    part = delegate_partition(graph, p, d_high=cfg.d_high, rebalance=cfg.rebalance)
+    ref = run_spmd(p, _worker, part, cfg, None, timeout=60.0, backend="thread")
+    mpi = run_fake_mpi(p, _worker, part, cfg, None)
+    assert np.array_equal(_labels(ref.results), _labels(mpi.results))
+    for (_, reports_t, q_t), (_, reports_m, q_m) in zip(ref.results, mpi.results):
+        assert q_t.hex() == q_m.hex()
+        assert reports_t == reports_m
+    assert _phase_counters(ref.stats) == _phase_counters(mpi.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +191,13 @@ def test_primitive_equivalence(p, checksums):
         )
         for backend in ("thread", "process")
     }
-    assert runs["thread"].results == runs["process"].results
-    assert _phase_counters(runs["thread"].stats) == _phase_counters(
-        runs["process"].stats
-    )
+    if not checksums:  # the MPI transport has no checksum envelopes
+        runs["mpi"] = run_fake_mpi(p, _mixed_program, 7)
+    for other in set(runs) - {"thread"}:
+        assert runs["thread"].results == runs[other].results
+        assert _phase_counters(runs["thread"].stats) == _phase_counters(
+            runs[other].stats
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +234,39 @@ def test_explicit_process_backend_rejects_closures():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown SPMD backend"):
         run_spmd(2, _rank_program, backend="mpi")
+
+
+def test_unguarded_main_names_the_cause(tmp_path):
+    """A script that launches the process backend from an unguarded
+    ``__main__`` makes every spawned rank re-import (and re-run) it; the
+    ranks die in bootstrap before sending a frame, and the error says so."""
+    import repro
+
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from repro.runtime import run_spmd\n"
+        "\n"
+        "\n"
+        "def prog(comm):\n"
+        "    return comm.rank\n"
+        "\n"
+        "\n"
+        "run_spmd(2, prog, backend='process', timeout=30.0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode != 0
+    assert "ChildCrashError" in proc.stderr
+    assert "died without reporting a result (exit code" in proc.stderr
+    assert "re-imports the launching script's __main__" in proc.stderr
+    assert 'if __name__ == "__main__":' in proc.stderr
 
 
 def test_config_backend_flows_through(graph):

@@ -1,12 +1,13 @@
-"""Hypothesis fuzzer for the collectives, differential across backends.
+"""Hypothesis fuzzer for the collectives, differential across transports.
 
 Randomized payload shapes/dtypes and op sequences are driven through
 ``bcast`` / ``allreduce`` / ``alltoall`` / ``allgather`` on both execution
-backends; every run must agree with a single-process oracle computed
-directly from the generated payload table.  A second property pins failure
-detection: whenever the generated programs diverge in collective order, the
-run must raise :class:`CollectiveMismatchError` — never deliver mismatched
-payloads.
+backends (and, for the agreement property, the MPI adapter over the fake
+communicator of :mod:`tests.runtime.fake_mpi`); every run must agree with a
+single-process oracle computed directly from the generated payload table.
+A second property pins failure detection: whenever the generated programs
+diverge in collective order, the run must raise
+:class:`CollectiveMismatchError` — never deliver mismatched payloads.
 
 Op specs are plain data (dicts of ints/strings/shapes) so the SPMD program
 stays a module-level function the process backend can ship to spawned
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import CollectiveMismatchError, SPMDError, reducers, run_spmd
+from tests.runtime.fake_mpi import run_fake_mpi
 
 DTYPES = ["int64", "float64", "int32", "uint8"]
 
@@ -143,16 +145,23 @@ class TestAgainstOracle:
             b: run_spmd(p, _run_ops, ops, timeout=30.0, backend=b)
             for b in ("thread", "process")
         }
-        assert runs["thread"].results == runs["process"].results
-        for rt, rp in zip(runs["thread"].stats.ranks, runs["process"].stats.ranks):
-            assert dict(rt.bytes_sent_by_phase) == dict(rp.bytes_sent_by_phase)
-            assert dict(rt.bytes_recv_by_phase) == dict(rp.bytes_recv_by_phase)
-            assert dict(rt.messages_sent_by_phase) == dict(rp.messages_sent_by_phase)
-            assert dict(rt.collectives_by_phase) == dict(rp.collectives_by_phase)
+        runs["mpi"] = run_fake_mpi(p, _run_ops, ops)
+        for other in ("process", "mpi"):
+            assert runs["thread"].results == runs[other].results
+            for rt, ro in zip(runs["thread"].stats.ranks, runs[other].stats.ranks):
+                assert dict(rt.bytes_sent_by_phase) == dict(ro.bytes_sent_by_phase)
+                assert dict(rt.bytes_recv_by_phase) == dict(ro.bytes_recv_by_phase)
+                assert dict(rt.messages_sent_by_phase) == dict(
+                    ro.messages_sent_by_phase
+                )
+                assert dict(rt.collectives_by_phase) == dict(
+                    ro.collectives_by_phase
+                )
 
 
 # ---------------------------------------------------------------------------
-# Divergence detection
+# Divergence detection (thread and process only: mismatched collectives are
+# undefined behaviour under real MPI, so the MPI adapter verifies no op tags)
 # ---------------------------------------------------------------------------
 
 _OP_KINDS = ["bcast", "allreduce", "allgather", "alltoall", "barrier"]

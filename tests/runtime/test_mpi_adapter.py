@@ -1,129 +1,33 @@
-"""Tests for the real-MPI adapter, exercised through a duck-typed fake.
+"""Tests for the real-MPI transport, exercised through a duck-typed fake.
 
-The fake implements the lowercase mpi4py API over in-process queues for a
-set of threads — structurally the same transport the simulator uses — so
-the adapter's plumbing, accounting and API parity with SimComm are fully
-tested without an MPI installation.
+The fake (:mod:`tests.runtime.fake_mpi`) implements the lowercase mpi4py
+API over in-process queues for a set of threads, so the adapter's
+plumbing, accounting and API parity with the simulator are fully tested
+without an MPI installation.
 """
-
-import queue
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.modularity import modularity
 from repro.partition import delegate_partition
+from repro.runtime import CommBase
 from repro.runtime.mpi_adapter import MPIAdapter
+from repro.runtime.tracing import TraceRecorder
+from tests.runtime.fake_mpi import run_fake_mpi
 
 
-class _FakeWorld:
-    """Shared state for FakeMPIComm instances (barrier + slot exchange)."""
-
-    def __init__(self, size):
-        self.size = size
-        self.barrier = threading.Barrier(size)
-        self.slots = {}
-        self.lock = threading.Lock()
-        self.mail = {}
-        self.mail_cv = threading.Condition()
-        self.gen = [0] * size
-
-
-class FakeMPIComm:
-    """Duck-typed mpi4py communicator backed by threads."""
-
-    def __init__(self, world, rank):
-        self._w = world
-        self._rank = rank
-
-    def Get_rank(self):
-        return self._rank
-
-    def Get_size(self):
-        return self._w.size
-
-    # -- transport helpers ------------------------------------------------
-    def _exchange(self, value):
-        w = self._w
-        gen = w.gen[self._rank]
-        w.gen[self._rank] += 1
-        with w.lock:
-            buf = w.slots.setdefault(gen, [None] * w.size)
-        buf[self._rank] = value
-        w.barrier.wait(timeout=20)
-        out = list(buf)
-        with w.lock:
-            key = (gen, "reads")
-            n = w.slots.get(key, 0) + 1
-            if n == w.size:
-                w.slots.pop(gen, None)
-                w.slots.pop(key, None)
-            else:
-                w.slots[key] = n
-        return out
-
-    # -- lowercase mpi4py API ----------------------------------------------
-    def send(self, obj, dest, tag=0):
-        with self._w.mail_cv:
-            self._w.mail.setdefault((self._rank, dest, tag), []).append(obj)
-            self._w.mail_cv.notify_all()
-
-    def recv(self, source, tag=0):
-        key = (source, self._rank, tag)
-        with self._w.mail_cv:
-            self._w.mail_cv.wait_for(lambda: self._w.mail.get(key), timeout=20)
-            box = self._w.mail[key]
-            out = box.pop(0)
-            if not box:
-                del self._w.mail[key]
-            return out
-
-    def allgather(self, value):
-        return self._exchange(value)
-
-    def alltoall(self, values):
-        rows = self._exchange(list(values))
-        return [rows[src][self._rank] for src in range(self._w.size)]
-
-    def bcast(self, value, root=0):
-        return self._exchange(value if self._rank == root else None)[root]
-
-    def gather(self, value, root=0):
-        out = self._exchange(value)
-        return out if self._rank == root else None
-
-    def scatter(self, values, root=0):
-        out = self._exchange(values if self._rank == root else None)
-        return out[root][self._rank]
-
-    def barrier(self):
-        self._exchange(None)
-
-
-def run_fake_mpi(p, fn):
-    world = _FakeWorld(p)
-    results = [None] * p
-    errors = [None] * p
-
-    def worker(r):
-        try:
-            results[r] = fn(MPIAdapter(FakeMPIComm(world, r)))
-        except BaseException as exc:  # noqa: BLE001
-            errors[r] = exc
-            world.barrier.abort()
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(p)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None and not isinstance(exc, threading.BrokenBarrierError):
-            raise exc
-    return results
+def test_adapter_is_a_transport_only():
+    """Everything but the transport primitives is inherited from CommBase."""
+    assert issubclass(MPIAdapter, CommBase)
+    own = {k for k in vars(MPIAdapter) if not k.startswith("__")}
+    assert own <= {
+        "_exchange",
+        "_transport_send",
+        "_transport_recv",
+        "_transport_try_recv",
+    }
 
 
 class TestAdapterCollectives:
@@ -131,14 +35,14 @@ class TestAdapterCollectives:
         def prog(c):
             return c.allreduce(c.rank + 1), c.allgather(c.rank * 2)
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         assert all(out == (6, [0, 2, 4]) for out in res)
 
     def test_alltoall(self):
         def prog(c):
             return c.alltoall([f"{c.rank}->{i}" for i in range(c.size)])
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         for r, got in enumerate(res):
             assert got == [f"{s}->{r}" for s in range(3)]
 
@@ -150,10 +54,18 @@ class TestAdapterCollectives:
             c.barrier()
             return b, g, s
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         assert res[0] == ("root", None, 10)
         assert res[1] == ("root", [0, 1, 2], 20)
         assert res[2] == ("root", None, 30)
+
+    def test_reduce(self):
+        def prog(c):
+            return c.reduce(np.arange(3) + c.rank, root=1)
+
+        res = run_fake_mpi(3, prog).results
+        assert res[0] is None and res[2] is None
+        assert res[1].tolist() == [3, 6, 9]
 
     def test_p2p(self):
         def prog(c):
@@ -162,7 +74,26 @@ class TestAdapterCollectives:
                 return None
             return c.recv(source=0)
 
-        assert run_fake_mpi(2, prog)[1] == {"x": 1}
+        assert run_fake_mpi(2, prog).results[1] == {"x": 1}
+
+    def test_irecv_polls_through_iprobe(self):
+        def prog(c):
+            if c.rank == 0:
+                c.barrier()
+                c.send("late", dest=1, tag=5)
+                c.barrier()
+                return None
+            req = c.irecv(0, tag=5)
+            before = req.test()
+            c.barrier()
+            c.barrier()  # rank 0 has sent by now
+            after = req.test()
+            return before, after, req.wait()
+
+        before, after, waited = run_fake_mpi(2, prog).results[1]
+        assert before == (False, None)
+        assert after == (True, "late")
+        assert waited == "late"
 
     def test_stats_accounted(self):
         collected = {}
@@ -180,6 +111,41 @@ class TestAdapterCollectives:
         assert st.bytes_sent_by_phase["work"] == 32  # one 32B peer payload
         assert st.total_collectives == 1
 
+    def test_self_send_is_not_wire_traffic(self):
+        def prog(c):
+            with c.phase("local"):
+                c.send(np.zeros(8), dest=c.rank, tag=3)
+                return c.recv(source=c.rank, tag=3).size
+
+        res = run_fake_mpi(2, prog)
+        assert res.results == [8, 8]
+        for st in res.stats.ranks:
+            assert st.bytes_sent_by_phase["local"] == 0
+            assert st.bytes_recv_by_phase["local"] == 0
+            assert st.messages_sent_by_phase["local"] == 0
+            assert st.sent_to_by_phase.get("local", {}) == {}
+
+
+class TestAdapterTracing:
+    def test_phase_and_collective_spans(self):
+        def prog(c):
+            with c.phase("work"):
+                c.allreduce(c.rank)
+                c.alltoall([np.zeros(2) for _ in range(c.size)])
+            return None
+
+        rec = TraceRecorder()
+        res = run_fake_mpi(2, prog, tracer=rec)
+        spans = res.stats.spans
+        for r in range(2):
+            mine = [s for s in spans if s.rank == r]
+            assert [s.name for s in mine if s.cat == "phase"] == ["work"]
+            colls = [s for s in mine if s.cat == "collective"]
+            assert [s.name for s in colls] == ["allreduce", "alltoall"]
+            assert all(s.args["phase"] == "work" for s in colls)
+            assert colls[1].args["bytes_sent"] == 16  # one 16B peer payload
+            assert colls[1].args["bytes_recv"] == 16
+
 
 class TestAdapterRunsRealAlgorithm:
     def test_local_clustering_through_adapter(self, web_graph):
@@ -196,7 +162,7 @@ class TestAdapterRunsRealAlgorithm:
             )
             return lc.run()
 
-        fake = run_fake_mpi(3, worker_any)
+        fake = run_fake_mpi(3, worker_any).results
         sim = run_spmd(3, worker_any, timeout=60).results
         assert fake[0].q_final == pytest.approx(sim[0].q_final, abs=1e-12)
         assert fake[0].q_history == sim[0].q_history
